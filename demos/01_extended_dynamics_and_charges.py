@@ -29,11 +29,12 @@ print(f"quartic well, period about {period:.4f}, integrating to T = {T:.2f}")
 
 traj = integrate(x0, pot, T, IntegratorConfig(dt=T / 2000))
 
-energies = np.array([energy(ExtendedPoint(*s), pot) for s in traj.states])
-gens = np.array([liouvillian_value(ExtendedPoint(*s), pot) for s in traj.states])
-charges = np.array([
-    lms_charge(ExtendedPoint(*s), pot, t) for t, s in zip(traj.times, traj.states)
-])
+# One point whose fields are the sample columns evaluates every observable
+# over the whole trajectory at once.
+samples = ExtendedPoint(*traj.states.T)
+energies = energy(samples, pot)
+gens = liouvillian_value(samples, pot)
+charges = lms_charge(samples, pot, traj.times)
 
 print(f"energy:            start {energies[0]:+.6f}  spread {np.ptp(energies):.2e}")
 print(f"evolution gen:     start {gens[0]:+.6f}  spread {np.ptp(gens):.2e}")

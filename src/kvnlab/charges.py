@@ -32,13 +32,17 @@ from .errors import (
 EPS_LIOUVILLIAN = 1e-10
 
 
-def liouvillian_value(x: ExtendedPoint, pot: MonomialPotential) -> float:
-    """Evaluate H_ext = lq*p - lp*V'(q)."""
+def liouvillian_value(x: ExtendedPoint, pot: MonomialPotential):
+    """Evaluate H_ext = lq*p - lp*V'(q).
+
+    Like every charge here it takes a point whose fields are floats, or
+    arrays of samples such as ``ExtendedPoint(*traj.states.T)``.
+    """
     v1, _ = pot.derivs(x.q)
     return x.lq * x.p - x.lp * v1
 
 
-def lms_charge0(x: ExtendedPoint, pot: MonomialPotential) -> float:
+def lms_charge0(x: ExtendedPoint, pot: MonomialPotential):
     """The explicit-time-free part of the similarity charge (n != 2)."""
     n = pot.n
     if n == 2.0:
@@ -46,30 +50,28 @@ def lms_charge0(x: ExtendedPoint, pot: MonomialPotential) -> float:
     return -(2.0 / (2.0 - n)) * x.lq * x.q - (n / (2.0 - n)) * x.lp * x.p
 
 
-def lms_charge(x: ExtendedPoint, pot: MonomialPotential, t: float) -> float:
+def lms_charge(x: ExtendedPoint, pot: MonomialPotential, t):
     """Similarity charge D = t*H_ext + D0 for n != 2."""
     return t * liouvillian_value(x, pot) + lms_charge0(x, pot)
 
 
-def lms_charge_harmonic(x: ExtendedPoint) -> float:
+def lms_charge_harmonic(x: ExtendedPoint):
     """Harmonic variant lq*q + p*lp, conserved for n = 2 (normalization 1)."""
     return x.lq * x.q + x.p * x.lp
 
 
-def virasoro_charge(
-    x: ExtendedPoint, pot: MonomialPotential, t: float, m
-) -> float:
+def virasoro_charge(x: ExtendedPoint, pot: MonomialPotential, t, m):
     """Member L_m = H_ext * (t + D0/H_ext)**(1+m) of the conserved tower.
 
     m = -1 and m = 0 reduce algebraically to H_ext and D; those branches
     are returned directly so the identities hold without roundoff. The
-    tower needs |H_ext| above EPS_LIOUVILLIAN, and a negative base is only
-    accepted for integer exponents.
+    tower needs |H_ext| above EPS_LIOUVILLIAN at every sample, and a
+    negative base is only accepted for integer exponents.
     """
     h = liouvillian_value(x, pot)
-    if abs(h) <= EPS_LIOUVILLIAN:
+    if np.any(np.abs(h) <= EPS_LIOUVILLIAN):
         raise NullLiouvillianError(
-            f"|H_ext|={abs(h)!r} <= {EPS_LIOUVILLIAN}; tower undefined"
+            f"|H_ext|={np.min(np.abs(h))!r} <= {EPS_LIOUVILLIAN}; tower undefined"
         )
     if m == -1:
         return h
@@ -78,9 +80,9 @@ def virasoro_charge(
         return t * h + d0
     u = t + d0 / h
     if not float(m).is_integer():
-        if u < 0:
+        if np.any(u < 0):
             raise NegativeBaseError(
-                f"base {u!r} < 0 with non-integer exponent {1 + m!r}"
+                f"base {np.min(u)!r} < 0 with non-integer exponent {1 + m!r}"
             )
         return h * u ** (1.0 + m)
     return h * u ** (1 + int(m))

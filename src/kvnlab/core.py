@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, UndefinedError
 
 
@@ -40,37 +42,47 @@ class MonomialPotential:
         if self.n == 0:
             raise UndefinedError("exponent n = 0 leaves V undefined")
 
-    def admissible(self, q: float) -> bool:
+    def admissible(self, q):
+        """Whether q lies in the domain of V; elementwise for arrays."""
+        # Plain comparisons (NaN fails them) keep float calls as cheap as
+        # math.isfinite, where np.isfinite costs microseconds per scalar.
         if _is_positive_integer(self.n):
-            return math.isfinite(q)
-        return math.isfinite(q) and q > 0.0
+            return abs(q) < math.inf
+        return (q > 0.0) & (q < math.inf)
 
-    def _require(self, q: float):
-        if not self.admissible(q):
+    def _require(self, q):
+        ok = self.admissible(q)
+        if not (ok.all() if isinstance(ok, np.ndarray) else ok):
             raise DomainError(
                 f"q={q!r} outside the domain of q**{self.n} (need q > 0)"
             )
 
-    def value(self, q: float) -> float:
-        """Evaluate V(q) = g * q**n / n."""
+    def value(self, q):
+        """Evaluate V(q) = g * q**n / n for a float or an array of them."""
         self._require(q)
         return self.g * q ** self.n / self.n
 
-    def derivs(self, q: float) -> tuple[float, float]:
-        """Return (V'(q), V''(q)) = (g q**(n-1), g (n-1) q**(n-2)).
-
-        Zero coefficients short-circuit the power so n = 1 is finite at q = 0.
-        """
+    def derivs(self, q):
+        """Return (V'(q), V''(q)) = (g q**(n-1), g (n-1) q**(n-2))."""
         self._require(q)
-        n = self.n
-        v1 = self.g * q ** (n - 1.0) if n != 1.0 else self.g * 1.0
-        if n == 1.0:
-            v2 = 0.0
-        elif n == 2.0:
-            v2 = self.g * (n - 1.0)
-        else:
-            v2 = self.g * (n - 1.0) * q ** (n - 2.0)
-        return v1, v2
+        return self.force(q), self.curvature(q)
+
+    # The unchecked pair below is for right-hand sides: DOP853 trial stages
+    # may step outside the domain, which must give a NaN and a rejected step
+    # rather than an exception. Keep ``**`` rather than np.power: on the
+    # np.float64 scalars a right-hand side unpacks it calls libm pow, where
+    # the ufunc may take a vectorised loop that rounds differently.
+
+    def force(self, q):
+        """V'(q) = g q**(n-1), without the domain check."""
+        return self.g * q ** (self.n - 1.0)
+
+    def curvature(self, q):
+        """V''(q) = g (n-1) q**(n-2), without the domain check."""
+        if self.n == 1.0:
+            # q**0.0 is exactly 1 for every q, where q**-1.0 is inf at 0.
+            return 0.0 * q ** 0.0
+        return self.g * (self.n - 1.0) * q ** (self.n - 2.0)
 
 
 @dataclass(frozen=True)
@@ -91,8 +103,6 @@ class ExtendedPoint:
     lp: float
 
     def as_array(self):
-        import numpy as np
-
         return np.array([self.q, self.p, self.lq, self.lp], dtype=float)
 
     @staticmethod

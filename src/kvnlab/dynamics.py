@@ -9,9 +9,11 @@ The generator of motion couples the auxiliary pair to the classical one:
 
 so the (q, p) block is ordinary Newtonian motion for unit mass while the
 (lq, lp) block is transported by the (negative transpose) linearized flow.
-Integration uses an adaptive embedded Runge-Kutta pair with local error
-control; trajectories are sampled on a uniform output grid for downstream
-quadrature.
+V' and V'' come from the potential's array-capable force law. Every
+integration in the package, here and in :mod:`kvnlab.semiclassics`, goes
+through :func:`guarded_solve`: one adaptive DOP853 run with local error
+control and one domain guard. Trajectories are sampled on a uniform output
+grid for downstream quadrature.
 """
 
 from __future__ import annotations
@@ -61,56 +63,73 @@ class ExtendedTrajectory:
 
 def eom_rhs(x: ExtendedPoint, pot: MonomialPotential, rmin: float = 1e-6):
     """Right-hand side (dq, dp, dlq, dlp) at a single extended point."""
-    if pot.n < 0 and abs(x.q) < rmin:
-        raise DomainError(f"|q|={abs(x.q)!r} inside guard radius {rmin!r}")
-    v1, v2 = pot.derivs(x.q)
-    return np.array([x.p, -v1, x.lp * v2, -x.lq])
+    y = x.as_array()
+    guard = _guard(pot, rmin)
+    if not pot.admissible(x.q) or (guard is not None and guard(0.0, y) < 0.0):
+        raise DomainError(f"q={x.q!r} outside the domain or guard radius {rmin!r}")
+    return np.array(_rhs_extended(pot)(0.0, y))
 
 
-def energy(x, pot: MonomialPotential) -> float:
+def energy(x, pot: MonomialPotential):
     """Classical energy p^2/2 + V(q) of the (q, p) block."""
     return 0.5 * x.p**2 + pot.value(x.q)
 
 
 def _rhs_extended(pot):
-    g, n = pot.g, pot.n
+    force, curvature = pot.force, pot.curvature
 
     def rhs(t, y):
         q, p, lq, lp = y
-        v1 = g * q ** (n - 1.0) if n != 1.0 else g
-        v2 = g * (n - 1.0) * q ** (n - 2.0) if n not in (1.0, 2.0) else g * (n - 1.0)
-        return (p, -v1, lp * v2, -lq)
+        return (p, -force(q), lp * curvature(q), -lq)
 
     return rhs
 
-def _guard_events(pot, rmin):
+
+def _guard(pot, rmin, npos=1):
+    """The one domain guard, as a terminal event on the smallest position.
+
+    Where V is defined on q > 0 only, positions must stay above rmin; where
+    V is defined everywhere there is no guard and None is returned.
+    """
     if pot.admissible(-1.0):
-        return []
+        return None
 
     def hit(t, y):
-        return y[0] - rmin
+        return y[:npos].min() - rmin
 
     hit.terminal = True
     hit.direction = -1
-    return [hit]
+    return hit
 
 
-def _run(rhs, y0, t_span, t_eval, tol, events):
+def guarded_solve(rhs, y0, T, pot, cfg, t_eval=None, events=(), npos=1,
+                  stop_at_guard=False):
+    """Integrate rhs from y0 over [0, T] with DOP853 under the domain guard.
+
+    The first ``npos`` state components are positions; they must start in
+    the domain of ``pot``. A guard hit raises SingularityAbort unless
+    ``stop_at_guard`` is set, in which case the run just ends there.
+    """
+    y0 = np.asarray(y0, dtype=float)
+    if not np.all(pot.admissible(y0[:npos])):
+        q0 = float(y0[:npos].min())
+        raise DomainError(f"initial q={q0!r} outside the potential domain")
+    guard = _guard(pot, cfg.rmin, npos)
+    events = list(events) + ([guard] if guard is not None else [])
     sol = solve_ivp(
         rhs,
-        t_span,
+        (0.0, T),
         y0,
         method=_METHOD,
-        rtol=tol,
-        atol=tol,
+        rtol=cfg.tol,
+        atol=cfg.tol,
         t_eval=t_eval,
         events=events,
-        dense_output=False,
     )
-    if sol.status == 1:
-        raise SingularityAbort("trajectory entered the guard radius")
     if not sol.success:
         raise StepFailure(sol.message)
+    if guard is not None and sol.t_events[-1].size and not stop_at_guard:
+        raise SingularityAbort("trajectory entered the guard radius")
     return sol
 
 
@@ -129,16 +148,8 @@ def integrate(
     """Integrate the extended system over [0, T] (T may be negative)."""
     if T == 0:
         raise ValueError("horizon T must be nonzero")
-    if not pot.admissible(x0.q):
-        raise DomainError(f"initial q={x0.q!r} outside the potential domain")
-    t_eval = sample_times(T, cfg.dt)
-    sol = _run(
-        _rhs_extended(pot),
-        x0.as_array(),
-        (0.0, T),
-        t_eval,
-        cfg.tol,
-        _guard_events(pot, cfg.rmin),
+    sol = guarded_solve(
+        _rhs_extended(pot), x0.as_array(), T, pot, cfg, t_eval=sample_times(T, cfg.dt)
     )
     return ExtendedTrajectory(times=sol.t, states=sol.y.T.copy())
 
@@ -152,23 +163,8 @@ def flow_map(
     """Classical flow of (q, p) by time t; negative t runs backward."""
     if t == 0:
         return x0
-    if not pot.admissible(x0.q):
-        raise DomainError(f"initial q={x0.q!r} outside the potential domain")
-    g, n = pot.g, pot.n
-
-    def rhs(s, y):
-        q, p = y
-        v1 = g * q ** (n - 1.0) if n != 1.0 else g
-        return (p, -v1)
-
-    def guard(s, y):
-        return y[0] - cfg.rmin
-
-    guard.terminal = True
-    guard.direction = -1
-    events = [] if pot.admissible(-1.0) else [guard]
-    sol = _run(rhs, [x0.q, x0.p], (0.0, t), [t], cfg.tol, events)
-    return PhasePoint(float(sol.y[0, -1]), float(sol.y[1, -1]))
+    q, p = flow_map_batch([x0.q], [x0.p], pot, t, cfg)
+    return PhasePoint(float(q[0]), float(p[0]))
 
 
 def flow_map_batch(
@@ -180,24 +176,19 @@ def flow_map_batch(
 ):
     """Vectorized classical flow for arrays of initial (q, p) pairs.
 
-    All characteristics are advanced as one stacked system so the adaptive
-    step is shared; intended for grid transport where the potential is
-    globally smooth (positive integer n).
+    All characteristics are advanced as one stacked system, so the adaptive
+    step and the domain guard (on the smallest q) are shared.
     """
     qs = np.asarray(qs, dtype=float).ravel()
     ps = np.asarray(ps, dtype=float).ravel()
     if t == 0:
         return qs.copy(), ps.copy()
-    g, n = pot.g, pot.n
     m = qs.size
 
     def rhs(s, y):
-        q = y[:m]
-        p = y[m:]
-        v1 = g * q ** (n - 1.0) if n != 1.0 else np.full(m, g)
-        return np.concatenate([p, -v1])
+        return np.concatenate([y[m:], -pot.force(y[:m])])
 
-    sol = _run(rhs, np.concatenate([qs, ps]), (0.0, t), [t], cfg.tol, [])
+    sol = guarded_solve(rhs, np.concatenate([qs, ps]), t, pot, cfg, t_eval=[t], npos=m)
     out = sol.y[:, -1]
     return out[:m].copy(), out[m:].copy()
 
@@ -227,18 +218,10 @@ def characteristic_time(
         return abs(y[0]) - 1e3 * (1.0 + abs(x0.q))
 
     escape.terminal = True
-    events = [turning, escape] + _guard_events(pot, cfg.rmin)
-    sol = solve_ivp(
-        _rhs_extended(pot),
-        (0.0, probe),
-        x0.as_array(),
-        method=_METHOD,
-        rtol=cfg.tol,
-        atol=cfg.tol,
-        events=events,
+    sol = guarded_solve(
+        _rhs_extended(pot), x0.as_array(), probe, pot, cfg,
+        events=[turning, escape], stop_at_guard=True,
     )
-    if not sol.success and sol.status != 1:
-        raise StepFailure(sol.message)
     hits = [t for t in sol.t_events[0] if t > 1e-9]
     if len(hits) >= 2:
         return 2.0 * (hits[1] - hits[0])

@@ -251,8 +251,8 @@ def evolve_G(
     hb = state.hbar
     x1 = state.axis1.points()
     x2 = state.axis2.points()
-    v1 = pot.g * x1**pot.n / pot.n
-    v2 = pot.g * x2**pot.n / pot.n
+    v1 = pot.value(x1)
+    v2 = pot.value(x2)
     half_v = np.exp(-0.5j * dt * (v1[:, None] - v2[None, :]) / hb)
     k1 = state.axis1.wavenumbers()
     k2 = state.axis2.wavenumbers()

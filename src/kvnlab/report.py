@@ -133,9 +133,13 @@ class SuiteReport:
         return all(r.passed for r in self.records)
 
     def to_dict(self) -> dict:
+        # Imported here: the package imports this module before it sets
+        # __version__.
+        from . import __version__
+
         ordered = sorted(self.records, key=lambda r: r.check_id)
         return {
-            "version": "0.1.0",
+            "version": __version__,
             "suite": self.suite,
             "seed": self.seed,
             "potential": _plain(self.potential),

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
 from .core import LmsParams, MonomialPotential, PhasePoint
-from .dynamics import IntegratorConfig
-from .errors import ConvergenceFailure, NoBoundOrbit, RangeExhausted, StepFailure
+from .dynamics import IntegratorConfig, guarded_solve, sample_times
+from .errors import ConvergenceFailure, NoBoundOrbit, RangeExhausted
 
 TURNING_TOL = 1e-12
 
@@ -70,7 +70,7 @@ def action_integral(pot: MonomialPotential, E: float) -> float:
 
     def integrand(theta):
         q = qp * math.sin(theta)
-        gap = E - pot.g * q**pot.n / pot.n
+        gap = E - pot.value(q)
         if gap < 0.0:
             gap = 0.0
         return math.sqrt(2.0 * gap) * qp * math.cos(theta)
@@ -165,12 +165,11 @@ class NewtonEquivReport:
 
 
 def _hamilton_rhs(pot: MonomialPotential, gamma: float, mass: float):
-    g, n = pot.g, pot.n
+    force = pot.force
 
     def rhs(t, y):
         q, pg = y
-        v1 = g * q ** (n - 1.0) if n != 1.0 else g
-        return (pg / (gamma * mass), -gamma * v1)
+        return (pg / (gamma * mass), -gamma * force(q))
 
     return rhs
 
@@ -190,28 +189,16 @@ def newton_equiv_trajectory_check(
     of p_gamma(t) versus gamma p(t), and of H_gamma versus gamma H_st."""
     if gamma <= 0 or mass <= 0:
         raise ValueError("gamma and mass must be positive")
-    t_eval = np.linspace(0.0, T, max(int(math.ceil(T / cfg.dt)), 1) + 1)
+    t_eval = sample_times(T, cfg.dt)
 
     def run(gv):
-        sol = solve_ivp(
-            _hamilton_rhs(pot, gv, mass),
-            (0.0, T),
-            [x0.q, gv * mass * (x0.p / mass)],
-            method="DOP853",
-            rtol=cfg.tol,
-            atol=cfg.tol,
-            t_eval=t_eval,
-        )
-        if not sol.success:
-            raise StepFailure(sol.message)
-        return sol.y
+        y0 = [x0.q, gv * mass * (x0.p / mass)]
+        return guarded_solve(_hamilton_rhs(pot, gv, mass), y0, T, pot, cfg, t_eval=t_eval).y
 
     y_st = run(1.0)
     y_g = run(gamma)
-    v_st = pot.g * y_st[0] ** pot.n / pot.n
-    v_g = pot.g * y_g[0] ** pot.n / pot.n
-    h_st = y_st[1] ** 2 / (2.0 * mass) + v_st
-    h_g = y_g[1] ** 2 / (2.0 * gamma * mass) + gamma * v_g
+    h_st = y_st[1] ** 2 / (2.0 * mass) + pot.value(y_st[0])
+    h_g = y_g[1] ** 2 / (2.0 * gamma * mass) + gamma * pot.value(y_g[0])
     return NewtonEquivReport(
         gamma=gamma,
         max_q_diff=float(np.max(np.abs(y_g[0] - y_st[0]))),
@@ -258,7 +245,7 @@ def eigensolve_newton_equiv(
         h = 2.0 * box / (m_count + 1)
         x = -box + h * np.arange(1, m_count + 1)
         kin = hbar**2 / (2.0 * gamma * mass * h**2)
-        diag = 2.0 * kin + gamma * pot.g * x**pot.n / pot.n
+        diag = 2.0 * kin + gamma * pot.value(x)
         off = np.full(m_count - 1, -kin)
         vals = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))[0]
         return vals

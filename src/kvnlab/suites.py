@@ -37,7 +37,7 @@ from .core import (
     lms_params_from_alpha,
     lms_params_from_beta,
 )
-from .dynamics import IntegratorConfig, characteristic_time, integrate
+from .dynamics import IntegratorConfig, characteristic_time, energy, integrate
 from .errors import ScenarioError
 from .report import CheckRecord, make_record, write_csv
 from .semiclassics import (
@@ -168,7 +168,7 @@ def suite_dynamics(ctx: SuiteContext):
 
     xf = _ic_for(pot)
     traj = ctx.trajectory(pot, xf, 10.0)
-    env = np.array([0.5 * s[1] ** 2 + pot.value(s[0]) for s in traj.states])
+    env = energy(ExtendedPoint(*traj.states.T), pot)
     edrift = _drift(env)
     records.append(make_record(
         "dyn-energy-drift", "energy-conservation",
@@ -227,13 +227,9 @@ def suite_charges(ctx: SuiteContext):
         g, x0 = _fixture_for(n, ctx.potential.g)
         pot = MonomialPotential(g, n)
         traj = ctx.trajectory(pot, x0, 20.0)
-        dvals = np.array([
-            lms_charge(ExtendedPoint(*s), pot, t)
-            for t, s in zip(traj.times, traj.states)
-        ])
-        hvals = np.array([
-            liouvillian_value(ExtendedPoint(*s), pot) for s in traj.states
-        ])
+        samples = ExtendedPoint(*traj.states.T)
+        dvals = lms_charge(samples, pot, traj.times)
+        hvals = liouvillian_value(samples, pot)
         drift = _drift(dvals)
         records.append(make_record(
             f"chg-conserve-n{n:g}", "similarity-charge-conserved",
@@ -280,7 +276,7 @@ def _harmonic_charge_check(ctx) -> CheckRecord:
     pot = MonomialPotential(1.0, 2.0)
     g, x0 = FIXTURES[2.0][0], ExtendedPoint(*FIXTURES[2.0][1])
     traj = ctx.trajectory(pot, x0, 20.0)
-    vals = np.array([lms_charge_harmonic(ExtendedPoint(*s)) for s in traj.states])
+    vals = lms_charge_harmonic(ExtendedPoint(*traj.states.T))
     drift = _drift(vals)
     tol = ctx.tol("charge_drift")
     return make_record(
@@ -391,9 +387,9 @@ def _bracket_check(ctx, n) -> CheckRecord:
 def _lagrangian_check(ctx, pot, x0, prm) -> CheckRecord:
     traj = ctx.trajectory(pot, x0, 1.3)
     q, p = traj.states[:, 0], traj.states[:, 1]
-    lag = 0.5 * p**2 - np.array([pot.value(v) for v in q])
+    lag = 0.5 * p**2 - pot.value(q)
     qm, pm = prm.alpha * q, prm.alpha ** (pot.n / 2.0) * p
-    lag_m = 0.5 * pm**2 - np.array([pot.value(v) for v in qm])
+    lag_m = 0.5 * pm**2 - pot.value(qm)
     expected = prm.alpha**pot.n * lag
     dev = float(np.max(np.abs(lag_m - expected)) / (1.0 + np.max(np.abs(expected))))
     return make_record(
@@ -415,13 +411,11 @@ def suite_lms_virasoro(ctx: SuiteContext):
         g, x0 = _fixture_for(n, ctx.potential.g)
         pot = MonomialPotential(g, n)
         traj = ctx.trajectory(pot, x0, 20.0)
-        drifts = {}
-        for m in (-1, 0, 1, 2):
-            vals = np.array([
-                virasoro_charge(ExtendedPoint(*s), pot, t, m)
-                for t, s in zip(traj.times, traj.states)
-            ])
-            drifts[f"m{m}"] = _drift(vals)
+        samples = ExtendedPoint(*traj.states.T)
+        drifts = {
+            f"m{m}": _drift(virasoro_charge(samples, pot, traj.times, m))
+            for m in (-1, 0, 1, 2)
+        }
         worst = max(drifts.values())
         records.append(make_record(
             f"vir-tower-n{n:g}", "charge-tower",

@@ -103,8 +103,7 @@ def action_standard(traj: ExtendedTrajectory, pot: MonomialPotential) -> float:
     _check_sampling(traj)
     q = traj.states[:, 0]
     p = traj.states[:, 1]
-    v = pot.g * q**pot.n / pot.n
-    return float(simpson(0.5 * p**2 - v, x=traj.times))
+    return float(simpson(0.5 * p**2 - pot.value(q), x=traj.times))
 
 
 def action_kvn(traj: ExtendedTrajectory, pot: MonomialPotential) -> float:
@@ -118,8 +117,7 @@ def action_kvn(traj: ExtendedTrajectory, pot: MonomialPotential) -> float:
     p = traj.states[:, 1]
     lq = traj.states[:, 2]
     lp = traj.states[:, 3]
-    v1 = pot.g * q ** (pot.n - 1.0) if pot.n != 1.0 else np.full(len(q), pot.g)
-    return float(simpson(lq * p + lp * v1, x=traj.times))
+    return float(simpson(lq * p + lp * pot.force(q), x=traj.times))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ family, and deterministic reports from the command line runner.
 
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+import kvnlab
 from kvnlab.core import (
     ExtendedPoint,
     MonomialPotential,
@@ -386,11 +388,15 @@ def test_runner_reports_are_reproducible(tmp_path):
         "potential": {"g": 1.0, "n": 4.0},
         "seed": 17,
     }))
+    # Absolute, so the child finds the imported package whatever its cwd.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kvnlab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     for out in ("first", "second"):
         proc = subprocess.run(
             [sys.executable, "-m", "kvnlab.cli", "run", str(scenario),
              "--out", str(tmp_path / out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr + proc.stdout
 

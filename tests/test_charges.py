@@ -87,6 +87,25 @@ def test_harmonic_variant_conserved_20_periods():
     assert np.max(np.abs(vals - vals[0])) < 1e-7 * (1.0 + abs(vals[0]))
 
 
+@pytest.mark.parametrize("pot,x0", FIXTURES)
+def test_charges_on_sample_columns_match_pointwise(pot, x0):
+    traj = _fixture_traj(pot, x0, periods=2.0)
+    samples = ExtendedPoint(*traj.states.T)
+    points = [ExtendedPoint(*s) for s in traj.states]
+    pairs = [
+        (liouvillian_value(samples, pot), [liouvillian_value(x, pot) for x in points]),
+        (lms_charge(samples, pot, traj.times),
+         [lms_charge(x, pot, t) for x, t in zip(points, traj.times)]),
+    ]
+    for m in (-1, 0, 1, 2):
+        pairs.append((
+            virasoro_charge(samples, pot, traj.times, m),
+            [virasoro_charge(x, pot, t, m) for x, t in zip(points, traj.times)],
+        ))
+    for columns, pointwise in pairs:
+        np.testing.assert_allclose(columns, pointwise, rtol=1e-12, atol=0.0)
+
+
 class TestExtendedBracket:
     def test_canonical_pairs(self):
         # {q, lq} = 1, {p, lp} = 1, mixed pairs vanish
@@ -197,6 +216,17 @@ class TestVirasoro:
         assert abs(liouvillian_value(x, self.POT)) <= EPS_LIOUVILLIAN
         with pytest.raises(NullLiouvillianError):
             virasoro_charge(x, self.POT, 0.5, 2)
+
+    def test_null_generator_at_one_sample_rejects_the_column(self):
+        pot = self.POT
+        traj = _fixture_traj(pot, ExtendedPoint(1.0, 0.0, 0.3, -0.2), periods=1.0)
+        states = traj.states.copy()
+        states[7] = (1.0, 1.0, 1.0, 1.0)
+        samples = ExtendedPoint(*states.T)
+        assert np.sum(np.abs(liouvillian_value(samples, pot)) <= EPS_LIOUVILLIAN) == 1
+        for m in (-1, 0, 2):
+            with pytest.raises(NullLiouvillianError):
+                virasoro_charge(samples, pot, traj.times, m)
 
     def test_negative_base_fractional_order(self):
         x = ExtendedPoint(1.0, -1.0, 0.3, -0.2)

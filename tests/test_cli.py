@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import kvnlab
 from kvnlab.report import CLAIMS
 from kvnlab.scenario import SCHEMA, SUITES, validate_scenario
 from kvnlab.errors import ScenarioError
@@ -17,6 +18,10 @@ def run_cli(args, tmp_path, env_extra=None):
 
     env = dict(os.environ)
     env.pop("KVNLAB_THREADS", None)
+    # The child runs in tmp_path, where a relative PYTHONPATH finds nothing:
+    # put the absolute directory of the imported package first.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kvnlab.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

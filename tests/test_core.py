@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from kvnlab.core import (
@@ -13,7 +14,7 @@ from kvnlab.core import (
     lms_params_from_alpha,
     lms_params_from_beta,
 )
-from kvnlab.errors import UndefinedError
+from kvnlab.errors import DomainError, UndefinedError
 
 
 class TestMonomialPotential:
@@ -58,6 +59,34 @@ class TestMonomialPotential:
         pot = MonomialPotential(1.0, 0.5)
         assert pot.admissible(1.0)
         assert not pot.admissible(-1.0)
+
+    @pytest.mark.parametrize("n", [-2.0, -1.0, 1.0, 2.0, 2.5, 3.0, 4.0])
+    def test_array_evaluation_matches_scalar(self, n):
+        # arrays may round the power differently from libm in the last bit
+        pot = MonomialPotential(1.5, n)
+        qs = np.array([0.3, 0.8, 1.0, 1.7, 2.4])
+        values = pot.value(qs)
+        v1s, v2s = pot.derivs(qs)
+        for i, q in enumerate(qs):
+            v1, v2 = pot.derivs(float(q))
+            assert values[i] == pytest.approx(pot.value(float(q)), rel=1e-15, abs=0.0)
+            assert v1s[i] == pytest.approx(v1, rel=1e-15, abs=0.0)
+            assert v2s[i] == pytest.approx(v2, rel=1e-15, abs=0.0)
+
+    def test_array_domain_check_covers_every_element(self):
+        pot = MonomialPotential(1.0, 2.5)
+        assert list(pot.admissible(np.array([1.0, -1.0]))) == [True, False]
+        with pytest.raises(DomainError):
+            pot.value(np.array([1.0, -1.0]))
+        with pytest.raises(DomainError):
+            pot.derivs(np.array([1.0, -1.0]))
+
+    def test_force_and_curvature_skip_the_domain_check(self):
+        # right-hand sides see trial stages outside the domain: NaN, no raise
+        pot = MonomialPotential(1.0, 2.5)
+        with np.errstate(invalid="ignore"):
+            assert math.isnan(pot.force(np.float64(-1.0)))
+            assert math.isnan(pot.curvature(np.float64(-1.0)))
 
 
 class TestPoints:

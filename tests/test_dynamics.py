@@ -30,8 +30,9 @@ def test_rhs_components_quartic():
     assert rhs == pytest.approx([-0.4, -v1, 0.7 * v2, -0.2])
 
 
-def test_rhs_guards_singular_origin():
-    pot = MonomialPotential(1.0, -2.0)
+@pytest.mark.parametrize("n", [-2.0, 2.5])
+def test_rhs_guards_singular_origin(n):
+    pot = MonomialPotential(1.0, n)
     with pytest.raises(DomainError):
         eom_rhs(ExtendedPoint(1e-9, 0.0, 0.0, 0.0), pot)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kvnlab.core import MonomialPotential, PhasePoint, lms_params_from_alpha
-from kvnlab.errors import NoBoundOrbit
+from kvnlab.errors import NoBoundOrbit, SingularityAbort
 from kvnlab.semiclassics import (
     action_integral,
     bohr_levels,
@@ -142,6 +142,15 @@ class TestNewtonEquivalence:
     def test_gamma_must_be_positive(self):
         with pytest.raises(ValueError):
             newton_equiv_trajectory_check(QUARTIC, -1.0, 1.0, PhasePoint(1.0, 0.0), 1.0)
+
+    @pytest.mark.parametrize("n", [-2.0, 2.5])
+    def test_infall_hits_the_domain_guard(self, n):
+        # both orbits reach q = 0, where V is singular (n = -2) or undefined
+        # beyond (n = 2.5); the integrator's guard must stop them
+        with pytest.raises(SingularityAbort), np.errstate(invalid="ignore"):
+            newton_equiv_trajectory_check(
+                MonomialPotential(1.0, n), 2.0, 1.0, PhasePoint(1.0, 0.3), 10.0
+            )
 
 
 class TestGroundWidth:
