@@ -53,6 +53,10 @@ class InexactHbarDivision(KvnLabError):
     """Internal consistency failure: coefficient not divisible by hbar."""
 
 
+class SingularHbarLimit(KvnLabError):
+    """Coefficient holds a negative power of hbar; its hbar -> 0 limit diverges."""
+
+
 class NonQuadraticGenerator(KvnLabError):
     """Finite adjoint requires a quadratic generator (closed linear action)."""
 

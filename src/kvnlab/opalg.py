@@ -1,8 +1,15 @@
 """Exact operator algebra of the auxiliary-pair (KvN) formulation.
 
 Operators are finite combinations of normally ordered monomials in four
-generators with exact symbolic coefficients (sympy expressions in I, hbar,
-t, alpha, rationals). Two instances of the same engine are used:
+generators with exact coefficients. A coefficient is a Laurent polynomial
+in (i, hbar, t, alpha) over the rationals, held as a plain dict
+{(ei, eh, et, ea): value} with i^2 = -1 reduced on multiply (ei is 0 or 1)
+and eh < 0 for the powers of 1/hbar that the split basis introduces. A
+value is an int or a Fraction; a factor outside the ring (exp(alpha) from a
+finite adjoint, a free symbol to solve for) stays a sympy scalar in the
+same value slot. Conversion to and from sympy happens only at the
+boundary: constructors, scale and _accumulate take int, Rational or Expr;
+coefficient() returns an Expr. Two instances of the same engine are used:
 
 * the position algebra with generators q, p, lq, lp, canonical pairs
   [q, lq] = i and [p, lp] = i, all other pairs commuting;
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import sympy as sp
 
@@ -32,6 +40,7 @@ from .errors import (
     InexactHbarDivision,
     NonPolynomialPotential,
     NonQuadraticGenerator,
+    SingularHbarLimit,
 )
 
 hbar = sp.Symbol("hbar", positive=True)
@@ -46,27 +55,114 @@ p_c = sp.Symbol("p_c", real=True)
 @dataclass(frozen=True)
 class Algebra:
     """Four generators in normal order; slots (0,2) and (1,3) are the
-    canonical pairs, with central commutators c02 = [g0, g2] and
-    c13 = [g1, g3]. Every other pair of generators commutes."""
+    canonical pairs, with central commutators [g0, g2] = s02 i hbar^h02
+    and [g1, g3] = s13 i hbar^h13, given as c02 = (s02, h02) and
+    c13 = (s13, h13). Every other pair of generators commutes."""
 
     names: tuple
-    c02: object
-    c13: object
+    c02: tuple
+    c13: tuple
 
 
-KVN = Algebra(("q", "p", "lq", "lp"), sp.I, sp.I)
-BOPP = Algebra(("Q", "Qbar", "P", "Pbar"), sp.I * hbar, -sp.I * hbar)
+KVN = Algebra(("q", "p", "lq", "lp"), (1, 0), (1, 0))
+BOPP = Algebra(("Q", "Qbar", "P", "Pbar"), (1, 1), (-1, 1))
 
 
-def _norm_coeff(c):
-    return sp.expand(sp.sympify(c))
+# -- coefficients: Laurent polynomials in (i, hbar, t, alpha) --------------
+
+_RING_SYMBOLS = (hbar, t_sym, alpha_sym)
+_UNIT = (0, 0, 0, 0)
+
+
+def _rational(x: sp.Rational):
+    return int(x.p) if x.q == 1 else Fraction(x.p, x.q)
+
+
+def _coeff(value) -> dict:
+    """Coefficient dict of an int, a sympy Rational or a sympy expression."""
+    if isinstance(value, int):
+        return {_UNIT: value} if value else {}
+    if isinstance(value, sp.Rational):
+        return {_UNIT: _rational(value)} if value else {}
+    expr = value if isinstance(value, sp.Basic) else sp.sympify(value)
+    if expr.has(sp.Float):
+        raise TypeError(f"floating-point coefficient {value!r}; use an exact number")
+    out = {}
+    for term in sp.Add.make_args(sp.expand(expr)):
+        num, rest = term.as_coeff_Mul()
+        key = [0, 0, 0, 0]
+        others = []
+        for factor in sp.Mul.make_args(rest):
+            base, e = factor.as_base_exp()
+            if factor == sp.I:
+                key[0] = 1
+            elif base in _RING_SYMBOLS and e.is_Integer:
+                key[1 + _RING_SYMBOLS.index(base)] += int(e)
+            elif factor != 1:
+                others.append(factor)
+        if others:
+            other = sp.Mul(*others)
+            if hbar in other.free_symbols:
+                raise TypeError(f"coefficient {value} is not a Laurent polynomial in hbar")
+            v = num * other
+        else:
+            v = _rational(num)
+        out = _cadd(out, {tuple(key): v})
+    return out
+
+
+def _expr(c: dict) -> sp.Expr:
+    """The sympy expression of a coefficient dict, expanded."""
+    return sp.expand(sp.Add(*(
+        sp.sympify(v) * sp.I**ei * hbar**eh * t_sym**et * alpha_sym**ea
+        for (ei, eh, et, ea), v in c.items()
+    )))
+
+
+def _cadd(x: dict, y: dict) -> dict:
+    out = dict(x)
+    for key, v in y.items():
+        s = out.get(key, 0) + v
+        if s == 0:
+            out.pop(key, None)
+        else:
+            out[key] = s
+    return out
+
+
+def _cmul(x: dict, y: dict) -> dict:
+    out = {}
+    for (i1, h1, t1, a1), u in x.items():
+        for (i2, h2, t2, a2), v in y.items():
+            w = u * v
+            i = i1 + i2
+            if i == 2:
+                i, w = 0, -w
+            key = (i, h1 + h2, t1 + t2, a1 + a2)
+            s = out.get(key, 0) + w
+            if s == 0:
+                out.pop(key, None)
+            else:
+                out[key] = s
+    return out
+
+
+def _cconj(x: dict) -> dict:
+    """Complex conjugate; hbar, t and alpha are real."""
+    out = {}
+    for key, v in x.items():
+        if isinstance(v, sp.Basic):
+            v = sp.conjugate(v)
+        out[key] = -v if key[0] else v
+    return out
 
 
 class OperatorPoly:
     """Normally ordered operator polynomial over a fixed algebra.
 
     terms maps exponent keys (a, b, c, d) for g0^a g1^b g2^c g3^d to
-    nonzero sympy coefficients.
+    nonzero coefficient dicts (see the module docstring). Coefficient dicts
+    are never mutated once stored, so copies may share them.
     """
 
     __slots__ = ("algebra", "terms")
@@ -79,11 +175,31 @@ class OperatorPoly:
                 self._accumulate(tuple(int(e) for e in key), coeff)
 
     def _accumulate(self, key, coeff):
-        c = _norm_coeff(self.terms.get(key, 0) + coeff)
-        if c == 0:
-            self.terms.pop(key, None)
-        else:
+        """Add an int, Rational or sympy coefficient at key."""
+        self._add(key, _coeff(coeff))
+
+    def _add(self, key, c: dict):
+        if not c:
+            return
+        old = self.terms.get(key)
+        if old is None:
             self.terms[key] = c
+            return
+        s = _cadd(old, c)
+        if s:
+            self.terms[key] = s
+        else:
+            del self.terms[key]
+
+    def _add_poly(self, other: "OperatorPoly"):
+        for key, c in other.terms.items():
+            self._add(key, c)
+
+    def _scaled(self, f: dict) -> "OperatorPoly":
+        out = OperatorPoly(self.algebra)
+        for key, c in self.terms.items():
+            out._add(key, _cmul(c, f))
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -93,7 +209,7 @@ class OperatorPoly:
 
     @staticmethod
     def scalar(algebra: Algebra, value) -> "OperatorPoly":
-        return OperatorPoly(algebra, {(0, 0, 0, 0): value})
+        return OperatorPoly(algebra, {_UNIT: value})
 
     @staticmethod
     def generator(algebra: Algebra, slot: int) -> "OperatorPoly":
@@ -117,15 +233,14 @@ class OperatorPoly:
             other = OperatorPoly.scalar(self.algebra, other)
         self._check_same(other)
         out = self.copy()
-        for key, coeff in other.terms.items():
-            out._accumulate(key, coeff)
+        out._add_poly(other)
         return out
 
     __radd__ = __add__
 
     def __neg__(self):
         out = OperatorPoly(self.algebra)
-        out.terms = {k: _norm_coeff(-c) for k, c in self.terms.items()}
+        out.terms = {k: {m: -v for m, v in c.items()} for k, c in self.terms.items()}
         return out
 
     def __sub__(self, other):
@@ -137,38 +252,30 @@ class OperatorPoly:
         return OperatorPoly.scalar(self.algebra, other) - self
 
     def scale(self, factor) -> "OperatorPoly":
-        factor = sp.sympify(factor)
-        out = OperatorPoly(self.algebra)
-        for key, coeff in self.terms.items():
-            out._accumulate(key, coeff * factor)
-        return out
+        return self._scaled(_coeff(factor))
 
     def __mul__(self, other):
         if not isinstance(other, OperatorPoly):
             return self.scale(other)
         self._check_same(other)
         out = OperatorPoly(self.algebra)
-        k02 = -self.algebra.c02
-        k13 = -self.algebra.c13
+        # Contracting j (g2, g0) and l (g3, g1) pairs multiplies by
+        # nj * nl * (-[g0, g2])^j (-[g1, g3])^l: an int times the monomial
+        # i^(j+l) hbar^(h02 j + h13 l), with i^2 = -1 folded into the int.
+        (s02, h02), (s13, h13) = self.algebra.c02, self.algebra.c13
         for (a1, b1, c1, d1), x in self.terms.items():
             for (a2, b2, c2, d2), y in other.terms.items():
-                xy = x * y
+                xy = _cmul(x, y)
                 for j in range(min(c1, a2) + 1):
-                    cj = (
-                        math.comb(c1, j)
-                        * math.comb(a2, j)
-                        * math.factorial(j)
-                    ) * k02**j
+                    nj = math.comb(c1, j) * math.comb(a2, j) * math.factorial(j) * (-s02) ** j
                     for l in range(min(d1, b2) + 1):
-                        cl = (
-                            math.comb(d1, l)
-                            * math.comb(b2, l)
-                            * math.factorial(l)
-                        ) * k13**l
-                        out._accumulate(
-                            (a1 + a2 - j, b1 + b2 - l, c1 + c2 - j, d1 + d2 - l),
-                            xy * cj * cl,
-                        )
+                        key = (a1 + a2 - j, b1 + b2 - l, c1 + c2 - j, d1 + d2 - l)
+                        if j == l == 0:  # no contraction, the common case
+                            out._add(key, xy)
+                            continue
+                        nl = math.comb(d1, l) * math.comb(b2, l) * math.factorial(l) * (-s13) ** l
+                        m = nj * nl * (-1) ** ((j + l) // 2)
+                        out._add(key, _cmul(xy, {((j + l) % 2, h02 * j + h13 * l, 0, 0): m}))
         return out
 
     def __rmul__(self, other):
@@ -193,21 +300,29 @@ class OperatorPoly:
         for (a, b, c, d), coeff in self.terms.items():
             left = OperatorPoly(self.algebra, {(0, 0, c, d): 1})
             right = OperatorPoly(self.algebra, {(a, b, 0, 0): 1})
-            out = out + (left * right).scale(sp.conjugate(coeff))
+            out._add_poly((left * right)._scaled(_cconj(coeff)))
         return out
 
     def subs_coeffs(self, mapping) -> "OperatorPoly":
         out = OperatorPoly(self.algebra)
         for key, coeff in self.terms.items():
-            out._accumulate(key, sp.sympify(coeff).subs(mapping))
+            out._accumulate(key, _expr(coeff).subs(mapping))
         return out
 
     def hbar_limit(self) -> "OperatorPoly":
-        """Coefficient-wise hbar -> 0 part."""
-        return self.subs_coeffs({hbar: 0})
+        """Coefficient-wise hbar -> 0 part; a negative hbar power raises."""
+        out = OperatorPoly(self.algebra)
+        for key, coeff in self.terms.items():
+            if any(m[1] < 0 for m in coeff):
+                raise SingularHbarLimit(
+                    f"coefficient {_expr(coeff)} of {key} diverges as hbar -> 0"
+                )
+            out._add(key, {m: v for m, v in coeff.items() if m[1] == 0})
+        return out
 
     def coefficient(self, key) -> sp.Expr:
-        return self.terms.get(tuple(key), sp.Integer(0))
+        c = self.terms.get(tuple(key))
+        return _expr(c) if c else sp.Integer(0)
 
     def total_degree(self) -> int:
         return max((sum(k) for k in self.terms), default=0)
@@ -218,7 +333,7 @@ class OperatorPoly:
     def equals(self, other, strong: bool = False) -> bool:
         """Exact equality of normal forms.
 
-        Coefficients are compared after expansion; strong=True routes the
+        Exact coefficients compare directly; strong=True routes the
         comparison through simplify for transcendental coefficients
         (exp/sinh from finite adjoints)."""
         if not isinstance(other, OperatorPoly):
@@ -229,7 +344,7 @@ class OperatorPoly:
         if not strong:
             return False
         return all(
-            sp.simplify(sp.expand(c.rewrite(sp.exp))) == 0
+            sp.simplify(sp.expand(_expr(c).rewrite(sp.exp))) == 0
             for c in diff.terms.values()
         )
 
@@ -249,7 +364,7 @@ class OperatorPoly:
         names = self.algebra.names
         parts = []
         for key in sorted(self.terms, key=lambda k: (sum(k), k)):
-            coeff = self.terms[key]
+            coeff = _expr(self.terms[key])
             factors = "*".join(
                 name if e == 1 else f"{name}**{e}"
                 for name, e in zip(names, key)
@@ -272,12 +387,20 @@ class OperatorPoly:
         return f"OperatorPoly[{self}]"
 
 
-def op_mul(a: OperatorPoly, b: OperatorPoly) -> OperatorPoly:
-    return a * b
-
-
 def commutator(a: OperatorPoly, b: OperatorPoly) -> OperatorPoly:
     return a * b - b * a
+
+
+def _powers(base: OperatorPoly):
+    """Memoised powers: the returned function maps k to base.power(k)."""
+    cache = [OperatorPoly.scalar(base.algebra, 1)]
+
+    def power(k):
+        while len(cache) <= k:
+            cache.append(cache[-1] * base)
+        return cache[k]
+
+    return power
 
 
 # Generator shorthands for the position algebra.
@@ -341,13 +464,15 @@ def bopp_to_kvn(x: OperatorPoly) -> OperatorPoly:
 
 
 def _substitute(x, target, images):
+    powers = [_powers(image) for image in images]
     out = OperatorPoly.zero(target)
     for key, coeff in x.terms.items():
-        term = OperatorPoly.scalar(target, coeff)
+        term = OperatorPoly(target)
+        term.terms[_UNIT] = coeff
         for slot, e in enumerate(key):
             if e:
-                term = term * images[slot].power(e)
-        out = out + term
+                term = term * powers[slot](e)
+        out._add_poly(term)
     return out
 
 
@@ -363,15 +488,6 @@ def _as_qp_poly(expr):
     return poly
 
 
-def _qp_poly_to_operator(expr) -> OperatorPoly:
-    """Commuting polynomial in (q_c, p_c) as an operator (q before p)."""
-    poly = _as_qp_poly(expr)
-    out = OperatorPoly.zero(KVN)
-    for (a, b), coeff in poly.terms():
-        out._accumulate((a, b, 0, 0), coeff)
-    return out
-
-
 def weyl_substitute(expr, X: OperatorPoly, Y: OperatorPoly) -> OperatorPoly:
     """Symmetric-ordered substitution of (X, Y) into C(q, p).
 
@@ -381,25 +497,16 @@ def weyl_substitute(expr, X: OperatorPoly, Y: OperatorPoly) -> OperatorPoly:
     X._check_same(Y)
     poly = _as_qp_poly(expr)
     out = OperatorPoly.zero(X.algebra)
-    xpow = {0: OperatorPoly.scalar(X.algebra, 1)}
-    ypow = {0: OperatorPoly.scalar(X.algebra, 1)}
-
-    def _pow(cache, base, k):
-        if k not in cache:
-            cache[k] = _pow(cache, base, k - 1) * base
-        return cache[k]
-
+    xpow, ypow = _powers(X), _powers(Y)
     for (a, b), coeff in poly.terms():
-        yb = _pow(ypow, Y, b)
+        yb = ypow(b)
         if a == 0:
-            out = out + yb.scale(coeff)
+            out._add_poly(yb.scale(coeff))
             continue
         acc = OperatorPoly.zero(X.algebra)
         for k in range(a + 1):
-            acc = acc + (
-                _pow(xpow, X, k) * yb * _pow(xpow, X, a - k)
-            ).scale(math.comb(a, k))
-        out = out + acc.scale(coeff * sp.Rational(1, 2**a))
+            acc._add_poly((xpow(k) * yb * xpow(a - k)).scale(math.comb(a, k)))
+        out._add_poly(acc.scale(coeff * sp.Rational(1, 2**a)))
     return out
 
 
@@ -417,13 +524,11 @@ def _exact_coupling(pot: MonomialPotential):
 def _divide_by_hbar(x: OperatorPoly) -> OperatorPoly:
     out = OperatorPoly.zero(x.algebra)
     for key, coeff in x.terms.items():
-        quot = sp.cancel(coeff / hbar)
-        num, den = sp.fraction(sp.together(quot))
-        if hbar in den.free_symbols:
+        if any(m[1] < 1 for m in coeff):
             raise InexactHbarDivision(
-                f"coefficient {coeff} of {key} is not divisible by hbar"
+                f"coefficient {_expr(coeff)} of {key} is not divisible by hbar"
             )
-        out._accumulate(key, quot)
+        out.terms[key] = {(i, h - 1, t, a): v for (i, h, t, a), v in coeff.items()}
     return out
 
 
@@ -452,19 +557,25 @@ def _hbar_series(expr, jmax: int) -> OperatorPoly:
 
         sum_k C(2j+1, k) (-1)^k lq^(2j+1-k) lp^k d_p^(2j+1-k) d_q^k C.
 
-    The k-th summand pairs each lq with a d_p and each lp with a -d_q."""
-    expr = sp.sympify(expr)
+    The k-th summand pairs each lq with a d_p and each lp with a -d_q.
+    The derivatives are taken on the exponents of the terms of C."""
+    terms = [(a, b, _coeff(c)) for (a, b), c in _as_qp_poly(expr).terms()]
     out = OperatorPoly.zero(KVN)
     for j in range(jmax + 1):
         order = 2 * j + 1
-        pref = hbar ** (2 * j) * sp.Rational(1, 2 ** (2 * j) * math.factorial(order))
+        pref = Fraction(1, 2 ** (2 * j) * math.factorial(order))
         for k in range(order + 1):
-            deriv = sp.diff(expr, p_c, order - k, q_c, k)
-            if deriv == 0:
+            # d_p^(order-k) d_q^k of C, q before p
+            deriv = OperatorPoly(KVN)
+            for a, b, c in terms:
+                if a >= k and b >= order - k:
+                    m = math.perm(a, k) * math.perm(b, order - k)
+                    deriv._add((a - k, b - order + k, 0, 0), _cmul(c, {_UNIT: m}))
+            if deriv.is_zero():
                 continue
             lam = OperatorPoly(KVN, {(0, 0, order - k, k): 1})
-            term = lam * _qp_poly_to_operator(deriv)
-            out = out + term.scale(pref * math.comb(order, k) * (-1) ** k)
+            weight = pref * math.comb(order, k) * (-1) ** k
+            out._add_poly((lam * deriv)._scaled({(0, 2 * j, 0, 0): weight}))
     return out
 
 
@@ -550,7 +661,7 @@ def leak_detect(x: OperatorPoly) -> LeakReport:
     barred = OperatorPoly.zero(BOPP)
     for key, coeff in conv.terms.items():
         if key[1] > 0 or key[3] > 0:
-            barred._accumulate(key, coeff)
+            barred.terms[key] = coeff
     return LeakReport(converted=conv, barred=barred, leaks=not barred.is_zero())
 
 
@@ -578,13 +689,66 @@ class LinearOpBasis:
         return out
 
 
+def _putzer_step(f: dict, lam) -> dict:
+    """Solve r' = lam r + f with r(0) = 0 in closed form.
+
+    Functions of s are dicts {(mu, j): c} for sums of c s^j exp(mu s). A
+    term with mu = lam integrates to c s^(j+1)/(j+1) exp(lam s); any other
+    term has the particular solution P(s) exp(mu s) with
+    P = c sum_i (-1)^i j!/(j-i)! s^(j-i) / d^(i+1), d = mu - lam, and the
+    homogeneous part C exp(lam s) sets r(0) = 0."""
+    r = {}
+    const = sp.Integer(0)
+
+    def add(key, c):
+        r[key] = r.get(key, 0) + c
+
+    for (mu, j), c in f.items():
+        if mu == lam:
+            add((lam, j + 1), c / (j + 1))
+            continue
+        d = mu - lam
+        for i in range(j + 1):
+            add((mu, j - i), c * (-1) ** i * math.perm(j, i) / d ** (i + 1))
+        const -= c * (-1) ** j * math.factorial(j) / d ** (j + 1)
+    add((lam, 0), const)
+    return r
+
+
+def _exp_apply(m: sp.Matrix, x: sp.Matrix, s) -> list:
+    """exp(s m) x by Putzer's algorithm (Amer. Math. Monthly 73 (1966) 2).
+
+    exp(s m) = sum_k r_(k+1)(s) P_k with P_0 = 1, P_k = (m - lam_k) P_(k-1)
+    over the eigenvalues lam_1..lam_N with multiplicity, r_1 = exp(lam_1 s)
+    and r_(k+1)' = lam_(k+1) r_(k+1) + r_k, r_(k+1)(0) = 0. Repeated
+    eigenvalues give the s^j exp(mu s) terms of a defective m, so one route
+    covers every matrix whose characteristic polynomial has closed-form
+    roots."""
+    roots = sp.roots(m.charpoly())
+    eigs = [root for root, mult in roots.items() for _ in range(mult)]
+    if len(eigs) != m.rows:
+        raise ValueError(f"no closed-form eigenvalues for {m}")
+    r = {(eigs[0], 0): sp.Integer(1)}
+    v = x
+    total = sp.zeros(m.rows, 1)
+    for k in range(m.rows):
+        if k:
+            v = (m - eigs[k - 1] * sp.eye(m.rows)) * v
+            if v.is_zero_matrix:
+                break
+            r = _putzer_step(r, eigs[k])
+        total += sum(c * s**j * sp.exp(mu * s) for (mu, j), c in r.items()) * v
+    return [sp.expand(c) for c in total]
+
+
 def adjoint_finite_quadratic(
     A: OperatorPoly, X: OperatorPoly, alpha=alpha_sym
 ) -> OperatorPoly:
     """Exact finite adjoint exp(i alpha A) X exp(-i alpha A).
 
     A must be quadratic so that i[A, .] closes on affine-linear operators;
-    the 5x5 matrix of that map is exponentiated symbolically."""
+    the exponential of the 5x5 matrix of that map is applied in closed form
+    (Putzer's algorithm, see _exp_apply)."""
     if A.total_degree() > 2:
         raise NonQuadraticGenerator(f"generator degree {A.total_degree()} > 2")
     x_vec = LinearOpBasis.from_poly(X).coords
@@ -599,8 +763,7 @@ def adjoint_finite_quadratic(
                 f"i[A, {basis_op}] leaves the affine-linear span"
             ) from exc
     m = sp.Matrix.hstack(*cols)
-    flowed = (alpha * m).exp() * x_vec
-    return LinearOpBasis([sp.expand(c) for c in flowed]).to_poly()
+    return LinearOpBasis(_exp_apply(m, x_vec, alpha)).to_poly()
 
 
 @dataclass(frozen=True)
@@ -633,7 +796,7 @@ def no_go_standard_qm(n) -> NoGoResult:
 
     def solve_condition(target_op, coeff_rhs):
         lhs = commutator(a0, target_op).scale(sp.I / hbar) - target_op.scale(coeff_rhs)
-        eqs = [sp.Eq(v, 0) for v in lhs.terms.values()]
+        eqs = [sp.Eq(lhs.coefficient(key), 0) for key in lhs.terms]
         sols = sp.solve(eqs, c, dict=True)
         if len(sols) != 1:
             raise ValueError(f"condition did not pin c uniquely: {sols}")

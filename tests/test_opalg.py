@@ -1,14 +1,23 @@
 """Operator algebra: normal ordering, generators, adjoints, obstruction."""
 
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 import sympy as sp
 
+import kvnlab
 from kvnlab.core import MonomialPotential
 from kvnlab.errors import (
     HarmonicCaseError,
     InexactHbarDivision,
+    KvnLabError,
     NonPolynomialPotential,
     NonQuadraticGenerator,
+    SingularHbarLimit,
 )
 from kvnlab.opalg import (
     BOPP,
@@ -37,8 +46,11 @@ from kvnlab.opalg import (
     p_op,
     q_c,
     q_op,
+    t_sym,
     weyl_substitute,
 )
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _rand_poly(rng, algebra, max_deg=2, terms=3):
@@ -102,6 +114,65 @@ class TestRingAxioms:
     def test_hash_refused(self):
         with pytest.raises(TypeError):
             hash(q_op())
+
+    def test_dagger_conjugates_coefficients(self):
+        # (i t q)^dagger = -i t q; (i t q lq)^dagger = -i t lq q = -i t q lq - t
+        it = sp.I * t_sym
+        assert q_op().scale(it).dagger().coefficient((1, 0, 0, 0)) == -it
+        moved = (q_op() * lq_op()).scale(it).dagger()
+        assert moved.coefficient((1, 0, 1, 0)) == -it
+        assert moved.coefficient((0, 0, 0, 0)) == -t_sym
+
+
+class TestCoefficientBoundary:
+    def test_accumulate_takes_sympy_integers(self):
+        x = OperatorPoly.zero(KVN)
+        x._accumulate((1, 0, 2, 0), sp.Integer(3))
+        x._accumulate((1, 0, 2, 0), sp.Integer(-1))
+        assert x.equals((q_op() * lq_op().power(2)).scale(2))
+        x._accumulate((1, 0, 2, 0), -2)
+        assert x.is_zero()
+
+    def test_sympy_input_lands_in_the_ring(self):
+        x = OperatorPoly.scalar(KVN, sp.I * t_sym / hbar + hbar / 2 + 3)
+        assert x.terms == {(0, 0, 0, 0): {
+            (1, -1, 1, 0): 1, (0, 1, 0, 0): Fraction(1, 2), (0, 0, 0, 0): 3,
+        }}
+        assert not any(isinstance(v, sp.Basic) for v in x.terms[(0, 0, 0, 0)].values())
+        with pytest.raises(TypeError, match="Laurent"):
+            OperatorPoly.scalar(KVN, sp.exp(hbar))
+
+    def test_laurent_coefficient_round_trip(self):
+        got = leak_detect(q_op() * lq_op()).converted.coefficient((1, 0, 1, 0))
+        assert isinstance(got, sp.Expr)
+        assert got == 1 / (2 * hbar)
+
+    def test_float_coefficients_rejected(self):
+        with pytest.raises(TypeError, match="0.5"):
+            OperatorPoly.scalar(KVN, 0.5)
+        with pytest.raises(TypeError, match="0.25"):
+            q_op().scale(sp.Float(0.25) * hbar)
+
+    def test_hbar_limit_of_negative_power_raises(self):
+        with pytest.raises(SingularHbarLimit, match=r"\(\d, \d, \d, \d\)"):
+            leak_detect(q_op() * lq_op()).converted.hbar_limit()
+        assert issubclass(SingularHbarLimit, KvnLabError)
+
+    def test_quartic_generator_prints_in_normal_order(self):
+        got = str(build_G(MonomialPotential(1, 4)))
+        assert got == "p*lq - hbar**2/4*q*lp**3 - q**3*lp"
+
+    def test_demo03_output_is_pinned(self, tmp_path):
+        # Pins OperatorPoly.__str__ and the finite adjoint's printed form.
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kvnlab.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, str(REPO / "demos" / "03_operator_obstruction.py")],
+            capture_output=True, text=True, cwd=tmp_path, env=env,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == (Path(__file__).parent / "data" / "demo03.txt").read_text()
 
 
 class TestCanonicalPairs:
@@ -200,6 +271,22 @@ class TestGeneratorConstruction:
                 for _ in range(3)
             )
             expr = sp.expand(expr)
+            if expr == 0:
+                continue
+            deg = sp.total_degree(expr, q_c, p_c)
+            jmax = max(0, (deg - 1) // 2)
+            assert build_C_hbar(expr).equals(c_hbar_series(expr, jmax))
+
+    def test_chbar_equals_own_series_quartic_q(self):
+        import numpy as np
+
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            expr = sp.expand(sum(
+                int(rng.integers(-3, 4)) * q_c ** int(rng.integers(0, 5))
+                * p_c ** int(rng.integers(0, 3))
+                for _ in range(3)
+            ))
             if expr == 0:
                 continue
             deg = sp.total_degree(expr, q_c, p_c)
@@ -308,6 +395,29 @@ class TestSimilarityGenerator:
             diff = sp.expand(fin.coefficient(key) - lin.coefficient(key))
             series = sp.series(diff.rewrite(sp.exp), alpha_sym, 0, 2).removeO()
             assert sp.simplify(series) == 0, key
+
+    @pytest.mark.parametrize("name", ["harmonic", "n1", "nilpotent", "jordan"])
+    def test_finite_adjoint_matches_matrix_exponential(self, name):
+        # The reference exponentiates the 5x5 matrix through its Jordan
+        # form; "n1" has t off the diagonal, "nilpotent" and "jordan" are
+        # defective (s^j exp(mu s) terms).
+        q, p, lq, lp = q_op(), p_op(), lq_op(), lp_op()
+        A = {
+            "harmonic": lms_quantum_generator(MonomialPotential(1.0, 2.0)),
+            "n1": lms_quantum_generator(MonomialPotential(1.0, 1.0)),
+            "nilpotent": lq * p,
+            "jordan": lq * q + lq * p + lp * p + lp.scale(3),
+        }[name]
+        X = q + p.scale(2) - lq + lp.scale(sp.Rational(3, 2)) + OperatorPoly.scalar(KVN, 5)
+        cols = [
+            LinearOpBasis.from_poly(
+                commutator(A, OperatorPoly(KVN, {key: 1})).scale(sp.I)
+            ).coords
+            for key in LinearOpBasis.BASIS_KEYS
+        ]
+        m = sp.Matrix.hstack(*cols)
+        ref = LinearOpBasis(list((alpha_sym * m).exp() * LinearOpBasis.from_poly(X).coords))
+        assert adjoint_finite_quadratic(A, X).equals(ref.to_poly(), strong=True)
 
     def test_nonquadratic_generator_rejected(self):
         quart = lms_quantum_generator(MonomialPotential(1.0, 4.0))
