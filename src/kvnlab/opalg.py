@@ -28,6 +28,7 @@ module evaluates to floating point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -517,6 +518,7 @@ def _require_monomial_exponent(pot: MonomialPotential) -> int:
     return int(n)
 
 
+@functools.cache
 def _exact_coupling(pot: MonomialPotential):
     return sp.nsimplify(pot.g, rational=True)
 

@@ -589,8 +589,8 @@ def suite_quantum_leak(ctx: SuiteContext):
         {"schmidt_ratio": sep_ratio}, tol_sep, sep_ratio < tol_sep,
     ))
 
-    remapped = qgrid.apply_lms_unitary_harmonic(state, 0.5)
-    mix_ratio = qgrid.schmidt(remapped).ratio
+    mixed = qgrid.schmidt(qgrid.apply_lms_unitary_harmonic(state, 0.5))
+    mix_ratio = mixed.ratio
     tol_mix = ctx.tol("schmidt_mixed")
     records.append(make_record(
         "qg-lms-entangles", "similarity-breaks-products",
@@ -600,7 +600,10 @@ def suite_quantum_leak(ctx: SuiteContext):
 
     rows = []
     for alpha in (0.1, 0.2, 0.3, 0.4, 0.5):
-        spec = qgrid.schmidt(qgrid.apply_lms_unitary_harmonic(state, alpha))
+        if alpha == 0.5:
+            spec = mixed
+        else:
+            spec = qgrid.schmidt(qgrid.apply_lms_unitary_harmonic(state, alpha))
         s = spec.values
         rows.append((alpha, float(s[0]), float(s[1]) if len(s) > 1 else 0.0,
                      spec.ratio))
