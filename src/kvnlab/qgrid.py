@@ -9,11 +9,13 @@ representation psi(Q, Qbar) evolves under the generator
     hX = -(hbar^2/2) d^2/dX^2 + V(X),
 
 a difference of two one-variable Schrodinger operators, integrated by
-Strang-split spectral steps (the half-potential phases of adjacent steps
-fused into one, the transforms done in place with scipy.fft). Product
-states stay products under that evolution; the similarity unitary of the
-harmonic case mixes the two factors hyperbolically and is applied as an
-area-preserving coordinate remap.
+Strang-split spectral steps. The two operators commute, so the Strang
+product factorises: one 1-d propagator per axis, built by running the step
+loop with scipy.fft on the unit vectors, then applied to the whole state
+by two matrix products. Product states stay products under that
+evolution; the similarity unitary of the harmonic case mixes the two
+factors hyperbolically and is applied as an area-preserving coordinate
+remap.
 """
 
 from __future__ import annotations
@@ -242,35 +244,37 @@ def evolve_G(
 
     Each step applies half a potential phase exp(-i dt (V(Q)-V(Qbar))/2hbar),
     a full kinetic phase exp(-i dt hbar (kQ^2 - kQbar^2)/2) in Fourier
-    space, and the second potential half. The closing half of one step and
-    the opening half of the next meet with nothing in between, so they are
-    applied as one full phase: the product is the same Strang product with
-    one pass over the array fewer per step. The working array is a fresh
-    copy, so the forward and inverse transforms overwrite it in place and
-    the caller's amplitudes are never touched. Every factor is unimodular,
-    so the norm is exact up to roundoff."""
+    space, and the second potential half. Every factor is a tensor product
+    of a Q factor and a Qbar factor, so the whole product is S1 (x) S2*,
+    with S_a the 1-d Strang propagator of axis a over all steps; the Qbar
+    factor is its complex conjugate because hQbar enters with the opposite
+    sign, and equal axes share one propagator. The result S1 @ psi @ S2*.T
+    is exact for every state, product or entangled, and the caller's
+    amplitudes are never touched. Every factor is unimodular, so the norm
+    is exact up to roundoff."""
     if state.rep != REP_QQBAR:
         raise ValueError("evolve_G needs the qqbar representation")
     _require_grid_potential(pot)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    if not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
     dt = t / steps
-    hb = state.hbar
-    x1 = state.axis1.points()
-    x2 = state.axis2.points()
-    v1 = pot.value(x1)
-    v2 = pot.value(x2)
-    half_v = np.exp(-0.5j * dt * (v1[:, None] - v2[None, :]) / hb)
-    full_v = half_v * half_v
-    k1 = state.axis1.wavenumbers()
-    k2 = state.axis2.wavenumbers()
-    kin = np.exp(-0.5j * dt * hb * (k1[:, None] ** 2 - k2[None, :] ** 2))
-    psi = state.amps * half_v
-    for step in range(steps):
-        psi = scipy.fft.fft2(psi, overwrite_x=True)
-        psi *= kin
-        psi = scipy.fft.ifft2(psi, overwrite_x=True)
-        psi *= full_v if step < steps - 1 else half_v
+    # The transposed 1-d propagator of each distinct axis: row j starts as
+    # the opening half phase times e_j and runs the step loop along the
+    # contiguous last axis (the closing half phase of one step fused with
+    # the opening half of the next), so it ends as the image of e_j.
+    props = {}
+    for axis in {state.axis1, state.axis2}:
+        half = np.exp(-0.5j * dt * pot.value(axis.points()) / state.hbar)
+        full = half * half
+        kin = np.exp(-0.5j * dt * state.hbar * axis.wavenumbers() ** 2)
+        rows = np.diag(half)
+        for step in range(steps):
+            rows = scipy.fft.fft(rows, overwrite_x=True)
+            rows *= kin
+            rows = scipy.fft.ifft(rows, overwrite_x=True)
+            rows *= full if step < steps - 1 else half
+        props[axis] = rows
+    psi = props[state.axis1].T @ state.amps @ props[state.axis2].conj()
     _warn_if_aliased(psi)
     return GridState2D(state.axis1, state.axis2, psi, state.rep, state.hbar)
 

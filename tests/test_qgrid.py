@@ -1,11 +1,17 @@
 """Grid states, transport, split-step evolution, and entanglement."""
 
 import math
+import os
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kvnlab
 from kvnlab.core import MonomialPotential
 from kvnlab.dynamics import IntegratorConfig, flow_map_batch
 from kvnlab.errors import NonNormalizable, SupportExit
@@ -27,6 +33,7 @@ from kvnlab.qgrid import (
 
 HARMONIC = MonomialPotential(1.0, 2.0)
 QUARTIC = MonomialPotential(1.0, 4.0)
+REPO = Path(__file__).resolve().parent.parent
 
 
 def _qp_gaussian(q0=0.4, p0=-0.3, sq=0.8, sp_=0.5, count=128, extent=6.0):
@@ -35,6 +42,37 @@ def _qp_gaussian(q0=0.4, p0=-0.3, sq=0.8, sp_=0.5, count=128, extent=6.0):
         gaussian_profile(q0, sq), gaussian_profile(p0, sp_), ax, ax,
         rep=REP_QP, hbar=1.0,
     )
+
+
+def _entangled(axis1, axis2, hbar=0.5):
+    def prof(x1, x2):
+        return np.exp(-(x1**2 + x2**2) / 4.0 - 0.3 * x1 * x2 + 0.7j * x1)
+
+    state = GridState2D.from_function(axis1, axis2, prof, REP_QQBAR, hbar)
+    assert schmidt(state).ratio > 0.1
+    return state
+
+
+def _unfused_strang(state, pot, t, steps):
+    """Step-by-step 2-d Strang product with np.fft, phases unfused."""
+    dt, hbar = t / steps, state.hbar
+    k1 = state.axis1.wavenumbers()[:, None]
+    k2 = state.axis2.wavenumbers()[None, :]
+    dv = pot.value(state.axis1.points())[:, None] - pot.value(state.axis2.points())[None, :]
+    half_v = np.exp(-0.5j * dt * dv / hbar)
+    kin = np.exp(-0.5j * dt * hbar * (k1**2 - k2**2))
+    ref = state.amps.copy()
+    for _ in range(steps):
+        ref = half_v * ref
+        ref = np.fft.ifft2(kin * np.fft.fft2(ref))
+        ref = half_v * ref
+    return ref
+
+
+def _evolve_quiet(state, pot, t, steps):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AliasingWarning)
+        return evolve_G(state, pot, t, steps=steps)
 
 
 def _qqbar_gaussian(count=128, extent=8.0, hbar=0.5):
@@ -245,30 +283,34 @@ class TestSplitStepEvolution:
         # an entangled (non-product) state, so the check sees both axes'
         # phases and transforms mixed, not just two independent 1-d runs
         ax = GridAxis(0.0, 8.0, 64)
-        hbar, t = 0.5, 0.3
+        state = _entangled(ax, ax)
+        out = _evolve_quiet(state, QUARTIC, 0.3, steps)
+        assert np.max(np.abs(out.amps - _unfused_strang(state, QUARTIC, 0.3, steps))) < 1e-12
 
-        def prof(x1, x2):
-            return np.exp(-(x1**2 + x2**2) / 4.0 - 0.3 * x1 * x2 + 0.7j * x1)
+    @pytest.mark.parametrize("steps", [1, 37])
+    @pytest.mark.parametrize("count2", [32, 64])
+    def test_matches_reference_on_unequal_axes(self, count2, steps):
+        # axis2 != axis1: the Qbar propagator is built on its own axis
+        # instead of reusing the Q propagator
+        state = _entangled(GridAxis(0.0, 8.0, 64), GridAxis(0.0, 6.0, count2))
+        out = _evolve_quiet(state, QUARTIC, 0.3, steps)
+        assert np.max(np.abs(out.amps - _unfused_strang(state, QUARTIC, 0.3, steps))) < 1e-12
 
-        state = GridState2D.from_function(ax, ax, prof, REP_QQBAR, hbar)
-        assert schmidt(state).ratio > 0.1
+    def test_matches_reference_at_long_step_count(self):
+        ax = GridAxis(0.0, 8.0, 32)
+        state = _entangled(ax, ax)
+        out = _evolve_quiet(state, QUARTIC, 2.0, 400)
+        assert np.max(np.abs(out.amps - _unfused_strang(state, QUARTIC, 2.0, 400))) < 1e-12
 
-        dt = t / steps
-        x = ax.points()
-        k = ax.wavenumbers()
-        dv = QUARTIC.value(x)[:, None] - QUARTIC.value(x)[None, :]
-        half_v = np.exp(-0.5j * dt * dv / hbar)
-        kin = np.exp(-0.5j * dt * hbar * (k[:, None] ** 2 - k[None, :] ** 2))
-        ref = state.amps.copy()
-        for _ in range(steps):
-            ref = half_v * ref
-            ref = np.fft.ifft2(kin * np.fft.fft2(ref))
-            ref = half_v * ref
+    @pytest.mark.parametrize("steps", [0, -3, 400.0, 2.5, "400"])
+    def test_rejects_bad_step_counts(self, steps):
+        with pytest.raises(ValueError):
+            evolve_G(_qqbar_gaussian(count=32), QUARTIC, 0.1, steps=steps)
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", AliasingWarning)
-            out = evolve_G(state, QUARTIC, t, steps=steps)
-        assert np.max(np.abs(out.amps - ref)) < 1e-12
+    def test_accepts_numpy_integer_steps(self):
+        state = _qqbar_gaussian(count=32)
+        out = _evolve_quiet(state, QUARTIC, 0.1, np.int64(3))
+        assert np.array_equal(out.amps, _evolve_quiet(state, QUARTIC, 0.1, 3).amps)
 
     @pytest.mark.parametrize("steps", [1, 5])
     def test_input_amplitudes_untouched(self, steps):
@@ -297,6 +339,21 @@ class TestSplitStepEvolution:
         )
         with pytest.warns(AliasingWarning):
             evolve_G(state, QUARTIC, 5.0, steps=200)
+
+    def test_demo04_runs(self, tmp_path):
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kvnlab.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, str(REPO / "demos" / "04_grid_quantum_picture.py")],
+            capture_output=True, text=True, cwd=tmp_path, env=env,
+        )
+        assert out.returncode == 0, out.stderr
+        evolved = re.search(r"after quartic evolution .* Schmidt ratio (\S+)", out.stdout)
+        remapped = re.search(r"alpha=0\.5: Schmidt ratio (\S+)", out.stdout)
+        assert evolved and remapped, out.stdout
+        assert float(evolved.group(1)) < 1e-8
+        assert float(remapped.group(1)) > 1e-3
 
 
 class TestClassicalLimit:
