@@ -2,9 +2,11 @@
 
 ``kvnlab run scenario.json [--suite NAME] [--out DIR] [--seed N]`` executes
 a check suite and writes report.json plus CSV series into the output
-directory. ``kvnlab schema`` prints the scenario schema. Exit codes:
-0 all checks passed, 1 at least one check failed, 2 the scenario or the
-environment configuration is invalid, 3 a computation failed to run.
+directory. ``kvnlab schema`` prints the scenario schema. Each check gets
+the verdict pass, fail or error; error means the check raised, and the
+report still holds every check. Exit codes: 0 all checks passed, 1 at
+least one check failed, 2 the scenario is invalid, 3 at least one check
+ended in error, or the run failed before a report could be written.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import time
 from .errors import KvnLabError, ScenarioError
 from .report import SuiteReport, digest, write_report
 from .scenario import SUITES, load_scenario, scenario_with_defaults, schema_text
-from .suites import SuiteContext, run_checks, thread_count
+from .suites import SuiteContext, run_checks
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -48,7 +50,6 @@ def cmd_run(args) -> int:
     try:
         raw = load_scenario(args.scenario)
         scenario = scenario_with_defaults(raw)
-        thread_count()
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_SCENARIO
@@ -78,11 +79,16 @@ def cmd_run(args) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    for rec in sorted(records, key=lambda r: r.check_id):
-        print(f"{'pass' if rec.passed else 'FAIL'}  {rec.check_id}")
+    errors = [r for r in records if r.verdict == "error"]
+    for rec in records:
+        print(f"{rec.verdict if rec.passed else rec.verdict.upper()}  {rec.check_id}")
+    for rec in errors:
+        print(f"error: {rec.check_id}: {rec.measured['error']}", file=sys.stderr)
     passed = sum(r.passed for r in records)
     print(f"{passed}/{len(records)} checks passed")
     print(f"report: {os.path.join(out_dir, 'report.json')}")
+    if errors:
+        return EXIT_RUNTIME
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 

@@ -79,18 +79,22 @@ def _plain(value):
 
 @dataclass(frozen=True)
 class CheckRecord:
-    """Outcome of one suite check."""
+    """Outcome of one suite check: verdict ``pass``, ``fail`` or ``error``."""
 
     check_id: str
     anchor: str
     inputs_digest: str
     measured: dict
     tolerance: float
-    passed: bool
+    verdict: str
 
     def __post_init__(self):
         if self.anchor not in CLAIMS:
             raise CheckFailure(f"unregistered anchor {self.anchor!r}")
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict == "pass"
 
     def to_dict(self) -> dict:
         return {
@@ -99,19 +103,8 @@ class CheckRecord:
             "inputs_digest": self.inputs_digest,
             "measured": _plain(self.measured),
             "tolerance": self.tolerance,
-            "verdict": "pass" if self.passed else "fail",
+            "verdict": self.verdict,
         }
-
-
-def make_record(check_id, anchor, inputs, measured, tolerance, passed) -> CheckRecord:
-    return CheckRecord(
-        check_id=check_id,
-        anchor=anchor,
-        inputs_digest=digest(_plain(inputs)),
-        measured=_plain(measured),
-        tolerance=float(tolerance),
-        passed=bool(passed),
-    )
 
 
 @dataclass
@@ -124,9 +117,6 @@ class SuiteReport:
     scenario_digest: str
     records: list = field(default_factory=list)
     wall_time_s: float = 0.0
-
-    def add(self, record: CheckRecord):
-        self.records.append(record)
 
     @property
     def all_passed(self) -> bool:

@@ -1,8 +1,8 @@
 """Scenario files: schema, validation, and defaults.
 
 A scenario is a JSON object naming a suite and a potential, with optional
-overrides for sweep exponents, initial conditions, similarity parameters,
-grid settings, tolerances, seed, and output directory. Unknown keys are
+overrides for sweep exponents, similarity parameters, grid settings,
+tolerances, seed, and output directory. Unknown keys are
 rejected at every level so typos fail loudly before any computation runs.
 """
 
@@ -46,16 +46,6 @@ SCHEMA = {
             "type": "array",
             "items": _NONZERO_NUMBER,
             "minItems": 1,
-        },
-        "initial_conditions": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "array",
-                "items": {"type": "number"},
-                "minItems": 4,
-                "maxItems": 4,
-            },
         },
         "lms": {
             "type": "object",

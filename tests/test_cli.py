@@ -8,16 +8,17 @@ import sys
 import pytest
 
 import kvnlab
-from kvnlab.report import CLAIMS
+from kvnlab import cli
+from kvnlab.report import CLAIMS, digest
 from kvnlab.scenario import SCHEMA, SUITES, validate_scenario
 from kvnlab.errors import ScenarioError
+from kvnlab.suites import SuiteContext
 
 
 def run_cli(args, tmp_path, env_extra=None):
     import os
 
     env = dict(os.environ)
-    env.pop("KVNLAB_THREADS", None)
     # The child runs in tmp_path, where a relative PYTHONPATH finds nothing:
     # put the absolute directory of the imported package first.
     src = os.path.dirname(os.path.dirname(os.path.abspath(kvnlab.__file__)))
@@ -31,6 +32,13 @@ def run_cli(args, tmp_path, env_extra=None):
         cwd=tmp_path,
         env=env,
     )
+
+
+def run_main(args, capsys):
+    """Run ``kvnlab`` in this process; the result reads like a finished child."""
+    code = cli.main(args)
+    out = capsys.readouterr()
+    return subprocess.CompletedProcess(args, code, out.out, out.err)
 
 
 def write_scenario(tmp_path, body, name="scenario.json"):
@@ -67,6 +75,12 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError):
             validate_scenario(bad)
 
+    def test_initial_conditions_rejected(self):
+        # No suite reads initial conditions; accepting them would ignore them.
+        bad = dict(BASIC, initial_conditions=[[1.0, 0.0, 0.3, -0.2]])
+        with pytest.raises(ScenarioError, match="initial_conditions"):
+            validate_scenario(bad)
+
     def test_zero_coupling_rejected(self):
         with pytest.raises(ScenarioError):
             validate_scenario({"suite": "dynamics", "potential": {"g": 0.0, "n": 2.0}})
@@ -100,12 +114,11 @@ class TestExitCodes:
         proc = run_cli(["run", str(path)], tmp_path)
         assert proc.returncode == 2
 
-    def test_bad_thread_env_is_two(self, tmp_path):
-        sc = write_scenario(tmp_path, BASIC)
-        proc = run_cli(
-            ["run", str(sc)], tmp_path, env_extra={"KVNLAB_THREADS": "abc"}
-        )
+    def test_initial_conditions_is_two(self, tmp_path):
+        sc = write_scenario(tmp_path, dict(BASIC, initial_conditions=[[1.0, 0.0, 0.3, -0.2]]))
+        proc = run_cli(["run", str(sc)], tmp_path)
         assert proc.returncode == 2
+        assert "initial_conditions" in proc.stderr
 
     def test_failing_check_is_one(self, tmp_path):
         body = dict(BASIC)
@@ -118,41 +131,42 @@ class TestExitCodes:
 
 
 class TestReportContents:
-    def run_suite(self, tmp_path, body, out="rep"):
+    def run_suite(self, tmp_path, capsys, body, out="rep"):
         sc = write_scenario(tmp_path, body)
-        proc = run_cli(["run", str(sc), "--out", out], tmp_path)
+        proc = run_main(["run", str(sc), "--out", str(tmp_path / out)], capsys)
         assert proc.returncode == 0, proc.stderr + proc.stdout
         return json.loads((tmp_path / out / "report.json").read_text())
 
-    def test_report_shape(self, tmp_path):
-        rep = self.run_suite(tmp_path, BASIC)
+    def test_report_shape(self, tmp_path, capsys):
+        rep = self.run_suite(tmp_path, capsys, BASIC)
         assert rep["suite"] == "dynamics"
         assert rep["summary"]["failed"] == 0
         assert rep["summary"]["total"] == len(rep["checks"])
         ids = [r["id"] for r in rep["checks"]]
         assert ids == sorted(ids)
 
-    def test_every_anchor_is_registered(self, tmp_path):
+    def test_every_anchor_is_registered(self, tmp_path, capsys):
         body = {"suite": "all", "potential": {"g": 1.0, "n": 4.0}}
-        rep = self.run_suite(tmp_path, body)
+        rep = self.run_suite(tmp_path, capsys, body)
         for rec in rep["checks"]:
             assert rec["anchor"] in CLAIMS
         assert rep["summary"]["total"] >= 60
 
-    def test_seed_recorded_and_overridable(self, tmp_path):
+    def test_seed_recorded_and_overridable(self, tmp_path, capsys):
         sc = write_scenario(tmp_path, dict(BASIC, seed=7))
-        proc = run_cli(["run", str(sc), "--out", "a"], tmp_path)
+        proc = run_main(["run", str(sc), "--out", str(tmp_path / "a")], capsys)
         assert proc.returncode == 0
         rep = json.loads((tmp_path / "a" / "report.json").read_text())
         assert rep["seed"] == 7
-        proc = run_cli(["run", str(sc), "--out", "b", "--seed", "11"], tmp_path)
+        proc = run_main(["run", str(sc), "--out", str(tmp_path / "b"), "--seed", "11"], capsys)
         assert proc.returncode == 0
         rep = json.loads((tmp_path / "b" / "report.json").read_text())
         assert rep["seed"] == 11
 
-    def test_suite_override(self, tmp_path):
+    def test_suite_override(self, tmp_path, capsys):
         sc = write_scenario(tmp_path, BASIC)
-        proc = run_cli(["run", str(sc), "--suite", "bohr", "--out", "rep"], tmp_path)
+        proc = run_main(["run", str(sc), "--suite", "bohr", "--out", str(tmp_path / "rep")],
+                        capsys)
         assert proc.returncode == 0
         rep = json.loads((tmp_path / "rep" / "report.json").read_text())
         assert rep["suite"] == "bohr"
@@ -187,27 +201,12 @@ class TestDeterminism:
             b = (tmp_path / "two" / name).read_bytes()
             assert a == b
 
-    def test_thread_count_does_not_change_output(self, tmp_path):
-        body = {"suite": "lms-classical", "potential": {"g": 1.0, "n": 4.0}}
-        sc = write_scenario(tmp_path, body)
-        proc = run_cli(["run", str(sc), "--out", "serial"], tmp_path)
-        assert proc.returncode == 0, proc.stderr
-        proc = run_cli(
-            ["run", str(sc), "--out", "par"],
-            tmp_path,
-            env_extra={"KVNLAB_THREADS": "4"},
-        )
-        assert proc.returncode == 0, proc.stderr
-        a = (tmp_path / "serial" / "report.json").read_text()
-        b = (tmp_path / "par" / "report.json").read_text()
-        assert strip_wall_time(a) == strip_wall_time(b)
-
 
 class TestCsvFormat:
-    def test_charge_csv_layout(self, tmp_path):
+    def test_charge_csv_layout(self, tmp_path, capsys):
         body = {"suite": "charges", "potential": {"g": 1.0, "n": 4.0}}
         sc = write_scenario(tmp_path, body)
-        proc = run_cli(["run", str(sc), "--out", "rep"], tmp_path)
+        proc = run_main(["run", str(sc), "--out", str(tmp_path / "rep")], capsys)
         assert proc.returncode == 0, proc.stderr
         path = next((tmp_path / "rep").glob("charges_*.csv"))
         raw = path.read_bytes()
@@ -223,12 +222,62 @@ class TestCsvFormat:
 
 
 class TestSuiteList:
-    def test_every_suite_runs_green(self, tmp_path):
+    def test_every_suite_runs_green(self, tmp_path, capsys):
         # the all suite covers everything else; spot-run the rest cheaply
         for suite in SUITES:
             if suite == "all":
                 continue
             body = {"suite": suite, "potential": {"g": 1.0, "n": 4.0}}
             sc = write_scenario(tmp_path, body, name=f"{suite}.json")
-            proc = run_cli(["run", str(sc), "--out", f"out-{suite}"], tmp_path)
+            proc = run_main(["run", str(sc), "--out", str(tmp_path / f"out-{suite}")], capsys)
             assert proc.returncode == 0, f"{suite}: {proc.stderr}\n{proc.stdout}"
+
+
+class TestCheckExecutor:
+    def test_raising_body_gives_error_record_and_next_check_runs(self, tmp_path):
+        ctx = SuiteContext(scenario={}, out_dir=str(tmp_path), seed=0)
+        inputs = {"potential": {"g": 1.0, "n": 4.0}, "steps": 3}
+        with ctx.check("x-raises", "plumbing", inputs, 1e-3) as out:
+            out.measured = {"partial": 1.0}
+            out.passed = 1 / 0 < 1.0
+        with ctx.check("x-next", "plumbing", {"steps": 4}, 0.5) as out:
+            out.measured, out.passed = {"gap": 0.1}, True
+        first, second = ctx.records
+        assert first.to_dict() == {
+            "id": "x-raises",
+            "anchor": "plumbing",
+            "inputs_digest": digest(inputs),
+            "measured": {"error": "ZeroDivisionError: division by zero"},
+            "tolerance": 1e-3,
+            "verdict": "error",
+        }
+        assert not first.passed
+        assert (second.check_id, second.verdict, second.measured) == (
+            "x-next", "pass", {"gap": 0.1})
+
+    def run_errored(self, tmp_path, capsys, suite, g, n):
+        sc = write_scenario(tmp_path, {"suite": suite, "potential": {"g": g, "n": n}})
+        proc = run_main(["run", str(sc), "--out", str(tmp_path / "rep")], capsys)
+        assert proc.returncode == 3, proc.stderr
+        rep = json.loads((tmp_path / "rep" / "report.json").read_text())
+        errors = {c["id"]: c["measured"]["error"] for c in rep["checks"]
+                  if c["verdict"] == "error"}
+        others = {c["id"]: c["verdict"] for c in rep["checks"] if c["id"] not in errors}
+        assert rep["summary"]["failed"] == len(errors)
+        for check_id, message in errors.items():
+            assert f"ERROR  {check_id}" in proc.stdout
+            assert f"error: {check_id}: {message}" in proc.stderr
+        return errors, others
+
+    @pytest.mark.parametrize("n", [-2.0, 2.5])
+    def test_singular_orbits_are_errors_in_a_written_report(self, tmp_path, capsys, n):
+        errors, others = self.run_errored(tmp_path, capsys, "newton-equiv", 1.0, n)
+        assert sorted(errors) == ["ne-orbit-gamma0.5", "ne-orbit-gamma10", "ne-orbit-gamma2"]
+        assert all(m.startswith("SingularityAbort: ") for m in errors.values())
+        assert others and set(others.values()) == {"pass"}
+
+    def test_step_failure_spares_the_other_dynamics_checks(self, tmp_path, capsys):
+        errors, others = self.run_errored(tmp_path, capsys, "dynamics", -1.0, 4.0)
+        assert sorted(errors) == ["dyn-energy-drift", "dyn-tangent-pairing"]
+        assert all(m.startswith("StepFailure: ") for m in errors.values())
+        assert others == {"dyn-flow-composition": "pass", "dyn-harmonic-return": "pass"}
