@@ -10,12 +10,13 @@ representation psi(Q, Qbar) evolves under the generator
 
 a difference of two one-variable Schrodinger operators, integrated by
 Strang-split spectral steps. The two operators commute, so the Strang
-product factorises: one 1-d propagator per axis, built by running the step
-loop with scipy.fft on the unit vectors, then applied to the whole state
-by two matrix products. Product states stay products under that
-evolution; the similarity unitary of the harmonic case mixes the two
-factors hyperbolically and is applied as an area-preserving coordinate
-remap.
+product factorises: one 1-d propagator per axis, applied to the whole
+state by two matrix products. The one-step matrix of an axis is symmetric
+as well as unitary, so one real eigendecomposition gives its eigenphases,
+and the propagator over all steps costs the same for any step count.
+Product states stay products under that evolution; the similarity
+unitary of the harmonic case mixes the two factors hyperbolically and is
+applied as an area-preserving coordinate remap.
 """
 
 from __future__ import annotations
@@ -237,6 +238,33 @@ def evolve_liouville(
     return GridState2D(state.axis1, state.axis2, vals, state.rep, state.hbar)
 
 
+def _strang_propagator(axis: GridAxis, pot: MonomialPotential, hbar: float,
+                       dt: float, steps: int) -> np.ndarray:
+    """The 1-d Strang propagator of one axis over `steps` steps of dt.
+
+    The one-step matrix U = H K H (H the half potential phases, K the
+    circulant kinetic factor, symmetric because kin is even in k) is
+    symmetric and unitary, so U = O diag(e^{i theta}) O^T with O real
+    orthogonal (the Takagi form; Horn & Johnson, Matrix Analysis, 4.4).
+    O diagonalises Re U + c Im U, whose eigenvalues cos(theta) + c sin(theta)
+    can nearly merge two eigenphases, so every cluster with gaps below 1e-4
+    is re-diagonalised in its own subspace by Im U - c Re U."""
+    half = np.exp(-0.5j * dt * pot.value(axis.points()) / hbar)
+    kin = np.exp(-0.5j * dt * hbar * axis.wavenumbers() ** 2)
+    # row j is the image of e_j; U is symmetric, so that is U itself
+    u = scipy.fft.ifft(scipy.fft.fft(np.diag(half)) * kin) * half
+    c = math.pi / 7.0
+    w, o = np.linalg.eigh(u.real + c * u.imag)
+    other = u.imag - c * u.real
+    for cluster in np.split(np.arange(w.size), np.flatnonzero(np.diff(w) >= 1e-4) + 1):
+        if cluster.size > 1:
+            basis = o[:, cluster]
+            _, rot = np.linalg.eigh(basis.T @ other @ basis)
+            o[:, cluster] = basis @ rot
+    theta = np.angle(np.einsum("ij,ij->j", o, u @ o))
+    return (o * np.exp(1j * steps * theta)) @ o.T
+
+
 def evolve_G(
     state: GridState2D, pot: MonomialPotential, t: float, steps: int
 ) -> GridState2D:
@@ -248,32 +276,21 @@ def evolve_G(
     of a Q factor and a Qbar factor, so the whole product is S1 (x) S2*,
     with S_a the 1-d Strang propagator of axis a over all steps; the Qbar
     factor is its complex conjugate because hQbar enters with the opposite
-    sign, and equal axes share one propagator. The result S1 @ psi @ S2*.T
-    is exact for every state, product or entangled, and the caller's
-    amplitudes are never touched. Every factor is unimodular, so the norm
-    is exact up to roundoff."""
+    sign, and equal axes share one propagator. S_a comes from one
+    eigendecomposition of the axis's one-step matrix, so its cost does not
+    depend on `steps`. The result S1^T @ psi @ S2* is exact for every
+    state, product or entangled, and the caller's amplitudes are never
+    touched. Every factor is unitary, so the norm is exact up to roundoff."""
     if state.rep != REP_QQBAR:
         raise ValueError("evolve_G needs the qqbar representation")
     _require_grid_potential(pot)
-    if not isinstance(steps, (int, np.integer)) or steps < 1:
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
         raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
     dt = t / steps
-    # The transposed 1-d propagator of each distinct axis: row j starts as
-    # the opening half phase times e_j and runs the step loop along the
-    # contiguous last axis (the closing half phase of one step fused with
-    # the opening half of the next), so it ends as the image of e_j.
-    props = {}
-    for axis in {state.axis1, state.axis2}:
-        half = np.exp(-0.5j * dt * pot.value(axis.points()) / state.hbar)
-        full = half * half
-        kin = np.exp(-0.5j * dt * state.hbar * axis.wavenumbers() ** 2)
-        rows = np.diag(half)
-        for step in range(steps):
-            rows = scipy.fft.fft(rows, overwrite_x=True)
-            rows *= kin
-            rows = scipy.fft.ifft(rows, overwrite_x=True)
-            rows *= full if step < steps - 1 else half
-        props[axis] = rows
+    props = {
+        axis: _strang_propagator(axis, pot, state.hbar, dt, steps)
+        for axis in {state.axis1, state.axis2}
+    }
     psi = props[state.axis1].T @ state.amps @ props[state.axis2].conj()
     _warn_if_aliased(psi)
     return GridState2D(state.axis1, state.axis2, psi, state.rep, state.hbar)

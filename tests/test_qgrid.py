@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import kvnlab
 from kvnlab.core import MonomialPotential
@@ -30,6 +31,7 @@ from kvnlab.qgrid import (
     make_separable,
     schmidt,
 )
+from kvnlab.qgrid import _strang_propagator
 
 HARMONIC = MonomialPotential(1.0, 2.0)
 QUARTIC = MonomialPotential(1.0, 4.0)
@@ -67,6 +69,36 @@ def _unfused_strang(state, pot, t, steps):
         ref = np.fft.ifft2(kin * np.fft.fft2(ref))
         ref = half_v * ref
     return ref
+
+
+def _step_loop_propagator(axis, pot, hbar, t, steps):
+    """The 1-d Strang propagator built by running the step loop with
+    scipy.fft on the unit vectors (fused half phases, rows are images)."""
+    dt = t / steps
+    half = np.exp(-0.5j * dt * pot.value(axis.points()) / hbar)
+    full = half * half
+    kin = np.exp(-0.5j * dt * hbar * axis.wavenumbers() ** 2)
+    rows = np.diag(half)
+    for step in range(steps):
+        rows = scipy.fft.ifft(scipy.fft.fft(rows) * kin)
+        rows *= full if step < steps - 1 else half
+    return rows
+
+
+def _mehler_ratio(alpha, sigma1=1.0, sigma2=0.7):
+    """Closed-form Schmidt ratio of the remapped product of Gaussians.
+
+    The amplitude exp(-a x1^2 - b x2^2) with a = 1/(4 sigma1^2) and
+    b = 1/(4 sigma2^2) is mapped to exp(-(A Q^2 + B Qbar^2 + 2 C Q Qbar)),
+    whose kernel Mehler's formula diagonalises: successive Schmidt values
+    fall by r / (1 + sqrt(1 - r^2)) with r = C / sqrt(A B). The centres
+    only translate the state, which no Schmidt value sees."""
+    a, b = 1.0 / (4.0 * sigma1**2), 1.0 / (4.0 * sigma2**2)
+    ch, sh = math.cosh(alpha), math.sinh(alpha)
+    big_a = a * ch**2 + b * sh**2
+    big_b = a * sh**2 + b * ch**2
+    r = (a + b) * ch * sh / math.sqrt(big_a * big_b)
+    return r / (1.0 + math.sqrt(1.0 - r * r))
 
 
 def _evolve_quiet(state, pot, t, steps):
@@ -302,7 +334,32 @@ class TestSplitStepEvolution:
         out = _evolve_quiet(state, QUARTIC, 2.0, 400)
         assert np.max(np.abs(out.amps - _unfused_strang(state, QUARTIC, 2.0, 400))) < 1e-12
 
-    @pytest.mark.parametrize("steps", [0, -3, 400.0, 2.5, "400"])
+    def test_matches_reference_entangled_256_long_run(self):
+        # the suite's qg-separability call (t = 5, 600 steps) on the 256^2
+        # grid of the benchmark, with an entangled state
+        ax = GridAxis(0.0, 8.0, 256)
+        state = _entangled(ax, ax)
+        out = _evolve_quiet(state, QUARTIC, 5.0, 600)
+        assert np.max(np.abs(out.amps - _unfused_strang(state, QUARTIC, 5.0, 600))) < 1e-12
+
+    def test_propagator_matches_step_loop_at_near_degenerate_phases(self):
+        # the suite's qg-unitary call at 256^2: here eigh(Re U + c Im U)
+        # alone nearly merges two eigenphases and leaves the propagator
+        # ~1.5e-11 from the loop; the cluster re-diagonalisation fixes it
+        ax = GridAxis(0.0, 8.0, 256)
+        prop = _strang_propagator(ax, QUARTIC, 0.5, 2.0 / 400, 400)
+        assert np.max(np.abs(prop - _step_loop_propagator(ax, QUARTIC, 0.5, 2.0, 400))) < 1e-12
+
+    @pytest.mark.parametrize("t, steps", [(2.0, 400), (5.0, 600)])
+    @pytest.mark.parametrize("n", GRID_EXPONENTS)
+    @pytest.mark.parametrize("count", [128, 256])
+    def test_propagator_unitary(self, count, n, t, steps):
+        # the grids of the suites, demo 04 and the benchmark
+        ax = GridAxis(0.0, 8.0, count)
+        prop = _strang_propagator(ax, MonomialPotential(1.0, float(n)), 0.5, t / steps, steps)
+        assert np.max(np.abs(prop @ prop.conj().T - np.eye(count))) < 1e-13
+
+    @pytest.mark.parametrize("steps", [0, -3, 400.0, 2.5, "400", True, False])
     def test_rejects_bad_step_counts(self, steps):
         with pytest.raises(ValueError):
             evolve_G(_qqbar_gaussian(count=32), QUARTIC, 0.1, steps=steps)
@@ -403,6 +460,18 @@ class TestSimilarityRemap:
             warnings.simplefilter("ignore", DomainExitWarning)
             out = apply_lms_unitary_harmonic(state, 0.5)
         assert schmidt(out).ratio > 1e-3
+
+    @pytest.mark.parametrize("count, tol", [(128, 1e-7), (256, 1e-8)])
+    def test_schmidt_ratio_matches_mehler_closed_form(self, count, tol):
+        # the qg-lms-entangles state and alphas; the bicubic remap's error
+        # falls as h^4 (<= 6.9e-8 at 128^2, <= 4.3e-9 at 256^2)
+        assert _mehler_ratio(0.5) == pytest.approx(0.480804902664, abs=1e-12)
+        state = _qqbar_gaussian(count=count)
+        for alpha in (0.1, 0.2, 0.3, 0.4, 0.5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DomainExitWarning)
+                ratio = schmidt(apply_lms_unitary_harmonic(state, alpha)).ratio
+            assert abs(ratio - _mehler_ratio(alpha)) < tol, alpha
 
     def test_separable_before(self):
         assert schmidt(_qqbar_gaussian()).ratio < 1e-12
