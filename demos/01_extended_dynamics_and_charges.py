@@ -10,7 +10,6 @@ import numpy as np
 
 from kvnlab import (
     ExtendedPoint,
-    IntegratorConfig,
     MonomialPotential,
     characteristic_time,
     energy,
@@ -27,7 +26,7 @@ period = characteristic_time(pot, x0)
 T = 20.0 * period
 print(f"quartic well, period about {period:.4f}, integrating to T = {T:.2f}")
 
-traj = integrate(x0, pot, T, IntegratorConfig(dt=T / 2000))
+traj = integrate(x0, pot, T, T / 2000)
 
 # One point whose fields are the sample columns evaluates every observable
 # over the whole trajectory at once.

@@ -4,7 +4,6 @@ import numpy as np
 
 from kvnlab import (
     ExtendedPoint,
-    IntegratorConfig,
     MonomialPotential,
     action_kvn,
     action_standard,
@@ -25,19 +24,19 @@ print(f"cubic potential, alpha = {prm.alpha}")
 print("point map:", x0, "->", lms_map_point(x0, prm))
 
 T = 2.0 * characteristic_time(pot, x0)
-traj = integrate(x0, pot, T, IntegratorConfig(dt=T / 2000))
+traj = integrate(x0, pot, T, T / 2000)
 mapped = lms_map_trajectory(traj, prm)
 
 # the mapped curve solves the same equations: reintegrate from its start
 horizon = float(mapped.times[-1])
-redone = integrate(mapped.initial, pot, horizon, IntegratorConfig(dt=horizon / 8000))
+redone = integrate(mapped.initial, pot, horizon, horizon / 8000)
 resampled = np.stack([
     np.interp(mapped.times, redone.times, redone.states[:, k]) for k in range(4)
 ], axis=1)
 print(f"mapped vs reintegrated sup difference: {np.max(np.abs(resampled - mapped.states)):.2e}")
 
 # standard action picks up alpha^(1+n/2); the auxiliary action does not move
-short = integrate(x0, pot, 1.3 * T / 2.0, IntegratorConfig(dt=T / 2000))
+short = integrate(x0, pot, 1.3 * T / 2.0, T / 2000)
 scaling = check_action_scaling(short, pot, prm)
 print(f"standard action {action_standard(short, pot):+.6f}")
 print(f"measured scaling exponent {scaling.measured_exponent:.6f} "

@@ -35,18 +35,18 @@ print(f"inverse-square exponent: shift {rep_inv.delta_j}, "
 # classically gamma drops out of Newton's equations entirely
 print("\nsame orbit for every mass rescaling gamma:")
 for gamma in (0.5, 2.0, 10.0):
-    chk = newton_equiv_trajectory_check(quartic, gamma, 1.0, PhasePoint(1.0, 0.3), 10.0)
+    chk = newton_equiv_trajectory_check(quartic, gamma, PhasePoint(1.0, 0.3), 10.0)
     print(f"  gamma={gamma:5}: max position difference {chk.max_q_diff:.2e}")
 
 # quantum mechanically the spectra remember gamma
-base = eigensolve_newton_equiv(quartic, 1.0, 1.0, 1.0, 4)
+base = eigensolve_newton_equiv(quartic, 1.0, 1.0, 4)
 print("\nquartic spectra under gamma (ratios follow gamma^(-1/3)):")
 for gamma in (0.5, 2.0, 10.0):
-    res = eigensolve_newton_equiv(quartic, gamma, 1.0, 1.0, 4)
+    res = eigensolve_newton_equiv(quartic, gamma, 1.0, 4)
     ratio = float(np.mean(res.energies / base.energies))
     print(f"  gamma={gamma:5}: level ratio {ratio:.6f} vs {gamma ** (-1.0 / 3.0):.6f}")
 
-hb = eigensolve_newton_equiv(harmonic, 8.0, 1.0, 1.0, 4)
-h1 = eigensolve_newton_equiv(harmonic, 1.0, 1.0, 1.0, 4)
+hb = eigensolve_newton_equiv(harmonic, 8.0, 1.0, 4)
+h1 = eigensolve_newton_equiv(harmonic, 1.0, 1.0, 4)
 print(f"\nharmonic exception: gamma=8 vs gamma=1 spectrum deviation "
       f"{float(np.max(np.abs(hb.energies - h1.energies))):.2e}")

@@ -18,7 +18,13 @@ import time
 
 from .errors import KvnLabError, ScenarioError
 from .report import SuiteReport, digest, write_report
-from .scenario import SUITES, load_scenario, scenario_with_defaults, schema_text
+from .scenario import (
+    SUITES,
+    load_scenario,
+    scenario_with_defaults,
+    schema_text,
+    validate_scenario,
+)
 from .suites import SuiteContext, run_checks
 
 EXIT_OK = 0
@@ -40,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the suite named in the scenario")
     run.add_argument("--out", default=None, help="output directory")
     run.add_argument("--seed", type=int, default=None,
-                     help="override the sampling seed (default 0)")
+                     help="override the scenario's sampling seed, an integer >= 0")
 
     sub.add_parser("schema", help="print the scenario JSON schema")
     return parser
@@ -49,6 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_run(args) -> int:
     try:
         raw = load_scenario(args.scenario)
+        if args.seed is not None:
+            # the override meets the same bound as the file's seed
+            validate_scenario({**raw, "seed": args.seed})
         scenario = scenario_with_defaults(raw)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

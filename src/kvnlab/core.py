@@ -4,8 +4,9 @@ The configuration space is one-dimensional. A point of the extended phase
 space carries the classical pair (q, p) together with the auxiliary pair
 (lq, lp) conjugate to them, so that states and observables of the operational
 formulation of classical mechanics live on a 4-dimensional manifold with
-canonical pairs (q, lq) and (p, lp). Mass is fixed to 1 throughout; the
-Newton-equivalent family in :mod:`kvnlab.semiclassics` carries its own mass.
+canonical pairs (q, lq) and (p, lp). Mass is 1 throughout; the
+rescaled-mass (Newton-equivalent) family in :mod:`kvnlab.semiclassics`
+scales it by gamma.
 """
 
 from __future__ import annotations

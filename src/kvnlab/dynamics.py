@@ -28,15 +28,10 @@ from .core import ExtendedPoint, MonomialPotential, PhasePoint
 from .errors import DomainError, SingularityAbort, StepFailure
 
 _METHOD = "DOP853"
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Sampling step, local error target, and singularity guard radius."""
-
-    dt: float = 0.01
-    tol: float = 1e-12
-    rmin: float = 1e-6
+#: Relative and absolute local error target of every DOP853 run.
+TOL = 1e-12
+#: Guard radius: where V is defined on q > 0 only, positions stay above it.
+RMIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -61,12 +56,12 @@ class ExtendedTrajectory:
         return ExtendedPoint.from_array(self.states[i])
 
 
-def eom_rhs(x: ExtendedPoint, pot: MonomialPotential, rmin: float = 1e-6):
+def eom_rhs(x: ExtendedPoint, pot: MonomialPotential):
     """Right-hand side (dq, dp, dlq, dlp) at a single extended point."""
     y = x.as_array()
-    guard = _guard(pot, rmin)
+    guard = _guard(pot)
     if not pot.admissible(x.q) or (guard is not None and guard(0.0, y) < 0.0):
-        raise DomainError(f"q={x.q!r} outside the domain or guard radius {rmin!r}")
+        raise DomainError(f"q={x.q!r} outside the domain or guard radius {RMIN!r}")
     return np.array(_rhs_extended(pot)(0.0, y))
 
 
@@ -85,24 +80,24 @@ def _rhs_extended(pot):
     return rhs
 
 
-def _guard(pot, rmin, npos=1):
+def _guard(pot, npos=1):
     """The one domain guard, as a terminal event on the smallest position.
 
-    Where V is defined on q > 0 only, positions must stay above rmin; where
+    Where V is defined on q > 0 only, positions must stay above RMIN; where
     V is defined everywhere there is no guard and None is returned.
     """
     if pot.admissible(-1.0):
         return None
 
     def hit(t, y):
-        return y[:npos].min() - rmin
+        return y[:npos].min() - RMIN
 
     hit.terminal = True
     hit.direction = -1
     return hit
 
 
-def guarded_solve(rhs, y0, T, pot, cfg, t_eval=None, events=(), npos=1,
+def guarded_solve(rhs, y0, T, pot, t_eval=None, events=(), npos=1,
                   stop_at_guard=False):
     """Integrate rhs from y0 over [0, T] with DOP853 under the domain guard.
 
@@ -114,15 +109,15 @@ def guarded_solve(rhs, y0, T, pot, cfg, t_eval=None, events=(), npos=1,
     if not np.all(pot.admissible(y0[:npos])):
         q0 = float(y0[:npos].min())
         raise DomainError(f"initial q={q0!r} outside the potential domain")
-    guard = _guard(pot, cfg.rmin, npos)
+    guard = _guard(pot, npos)
     events = list(events) + ([guard] if guard is not None else [])
     sol = solve_ivp(
         rhs,
         (0.0, T),
         y0,
         method=_METHOD,
-        rtol=cfg.tol,
-        atol=cfg.tol,
+        rtol=TOL,
+        atol=TOL,
         t_eval=t_eval,
         events=events,
     )
@@ -143,37 +138,27 @@ def integrate(
     x0: ExtendedPoint,
     pot: MonomialPotential,
     T: float,
-    cfg: IntegratorConfig = IntegratorConfig(),
+    dt: float = 0.01,
 ) -> ExtendedTrajectory:
-    """Integrate the extended system over [0, T] (T may be negative)."""
+    """Integrate the extended system over [0, T] (T may be negative),
+    sampled every dt on the uniform grid sample_times(T, dt)."""
     if T == 0:
         raise ValueError("horizon T must be nonzero")
     sol = guarded_solve(
-        _rhs_extended(pot), x0.as_array(), T, pot, cfg, t_eval=sample_times(T, cfg.dt)
+        _rhs_extended(pot), x0.as_array(), T, pot, t_eval=sample_times(T, dt)
     )
     return ExtendedTrajectory(times=sol.t, states=sol.y.T.copy())
 
 
-def flow_map(
-    x0: PhasePoint,
-    pot: MonomialPotential,
-    t: float,
-    cfg: IntegratorConfig = IntegratorConfig(),
-) -> PhasePoint:
+def flow_map(x0: PhasePoint, pot: MonomialPotential, t: float) -> PhasePoint:
     """Classical flow of (q, p) by time t; negative t runs backward."""
     if t == 0:
         return x0
-    q, p = flow_map_batch([x0.q], [x0.p], pot, t, cfg)
+    q, p = flow_map_batch([x0.q], [x0.p], pot, t)
     return PhasePoint(float(q[0]), float(p[0]))
 
 
-def flow_map_batch(
-    qs,
-    ps,
-    pot: MonomialPotential,
-    t: float,
-    cfg: IntegratorConfig = IntegratorConfig(),
-):
+def flow_map_batch(qs, ps, pot: MonomialPotential, t: float):
     """Vectorized classical flow for arrays of initial (q, p) pairs.
 
     All characteristics are advanced as one stacked system, so the adaptive
@@ -188,23 +173,19 @@ def flow_map_batch(
     def rhs(s, y):
         return np.concatenate([y[m:], -pot.force(y[:m])])
 
-    sol = guarded_solve(rhs, np.concatenate([qs, ps]), t, pot, cfg, t_eval=[t], npos=m)
+    sol = guarded_solve(rhs, np.concatenate([qs, ps]), t, pot, t_eval=[t], npos=m)
     out = sol.y[:, -1]
     return out[:m].copy(), out[m:].copy()
 
 
-def characteristic_time(
-    pot: MonomialPotential,
-    x0: ExtendedPoint,
-    cfg: IntegratorConfig = IntegratorConfig(),
-    probe: float = 20.0,
-) -> float:
+def characteristic_time(pot: MonomialPotential, x0: ExtendedPoint) -> float:
     """Estimate a natural time scale for the orbit through x0.
 
     Harmonic wells have the closed-form period 2*pi/sqrt(g). Otherwise a
-    probe run detects p = 0 turning events: two consecutive events span a
-    half cycle, a single event doubles the time to turning, and monotone
-    escape falls back to the crossing scale |q0/p0|. The probe run carries
+    probe run over 20 time units detects p = 0 turning events: two
+    consecutive events span a half cycle, a single event doubles the time
+    to turning, and monotone escape falls back to the crossing scale
+    |q0/p0| (1 when p0 = 0). The probe run carries
     an escape guard so finite-time blowup of steep monomials cannot stall
     the estimate.
     """
@@ -219,7 +200,7 @@ def characteristic_time(
 
     escape.terminal = True
     sol = guarded_solve(
-        _rhs_extended(pot), x0.as_array(), probe, pot, cfg,
+        _rhs_extended(pot), x0.as_array(), 20.0, pot,
         events=[turning, escape], stop_at_guard=True,
     )
     hits = [t for t in sol.t_events[0] if t > 1e-9]
@@ -229,4 +210,4 @@ def characteristic_time(
         return 2.0 * hits[0]
     if x0.p != 0:
         return 2.0 * abs(x0.q / x0.p)
-    return probe / 20.0
+    return 1.0

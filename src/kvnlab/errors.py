@@ -14,7 +14,7 @@ class UndefinedError(KvnLabError):
 
 
 class SingularityAbort(KvnLabError):
-    """Trajectory approached the potential singularity closer than rmin."""
+    """Trajectory approached the potential singularity closer than dynamics.RMIN."""
 
 
 class StepFailure(KvnLabError):

@@ -6,10 +6,10 @@ in (i, hbar, t, alpha) over the rationals, held as a plain dict
 {(ei, eh, et, ea): value} with i^2 = -1 reduced on multiply (ei is 0 or 1)
 and eh < 0 for the powers of 1/hbar that the split basis introduces. A
 value is an int or a Fraction; a factor outside the ring (exp(alpha) from a
-finite adjoint, a free symbol to solve for) stays a sympy scalar in the
-same value slot. Conversion to and from sympy happens only at the
-boundary: constructors, scale and _accumulate take int, Rational or Expr;
-coefficient() returns an Expr. Two instances of the same engine are used:
+finite adjoint) stays a sympy scalar in the same value slot. Conversion to
+and from sympy happens only at the boundary: constructors, scale and
+_accumulate take int, Rational or Expr; coefficient() returns an Expr.
+Two instances of the same engine are used:
 
 * the position algebra with generators q, p, lq, lp, canonical pairs
   [q, lq] = i and [p, lp] = i, all other pairs commuting;
@@ -302,12 +302,6 @@ class OperatorPoly:
             left = OperatorPoly(self.algebra, {(0, 0, c, d): 1})
             right = OperatorPoly(self.algebra, {(a, b, 0, 0): 1})
             out._add_poly((left * right)._scaled(_cconj(coeff)))
-        return out
-
-    def subs_coeffs(self, mapping) -> "OperatorPoly":
-        out = OperatorPoly(self.algebra)
-        for key, coeff in self.terms.items():
-            out._accumulate(key, _expr(coeff).subs(mapping))
         return out
 
     def hbar_limit(self) -> "OperatorPoly":
@@ -631,17 +625,9 @@ def lms_quantum_generator(pot: MonomialPotential) -> OperatorPoly:
     return cG.scale(t_sym) - (lq * q + q * lq).scale(c1) - (lp * p + p * lp).scale(c2)
 
 
-def adjoint_infinitesimal(
-    A: OperatorPoly, X: OperatorPoly, alpha=alpha_sym, mode: str = "kvn"
-) -> OperatorPoly:
-    """First-order adjoint X + i alpha [A, X] (mode "kvn") or the
-    hbar-weighted X + i alpha [A, X]/hbar (mode "qm")."""
-    comm = commutator(A, X)
-    if mode == "kvn":
-        return X + comm.scale(sp.I * alpha)
-    if mode == "qm":
-        return X + comm.scale(sp.I * alpha / hbar)
-    raise ValueError(f"unknown mode {mode!r}")
+def adjoint_infinitesimal(A: OperatorPoly, X: OperatorPoly) -> OperatorPoly:
+    """First-order adjoint X + i alpha [A, X] in the symbol alpha."""
+    return X + commutator(A, X).scale(sp.I * alpha_sym)
 
 
 @dataclass(frozen=True)
@@ -743,10 +729,8 @@ def _exp_apply(m: sp.Matrix, x: sp.Matrix, s) -> list:
     return [sp.expand(c) for c in total]
 
 
-def adjoint_finite_quadratic(
-    A: OperatorPoly, X: OperatorPoly, alpha=alpha_sym
-) -> OperatorPoly:
-    """Exact finite adjoint exp(i alpha A) X exp(-i alpha A).
+def adjoint_finite_quadratic(A: OperatorPoly, X: OperatorPoly) -> OperatorPoly:
+    """Exact finite adjoint exp(i alpha A) X exp(-i alpha A) in the symbol alpha.
 
     A must be quadratic so that i[A, .] closes on affine-linear operators;
     the exponential of the 5x5 matrix of that map is applied in closed form
@@ -765,7 +749,7 @@ def adjoint_finite_quadratic(
                 f"i[A, {basis_op}] leaves the affine-linear span"
             ) from exc
     m = sp.Matrix.hstack(*cols)
-    return LinearOpBasis(_exp_apply(m, x_vec, alpha)).to_poly()
+    return LinearOpBasis(_exp_apply(m, x_vec, alpha_sym)).to_poly()
 
 
 @dataclass(frozen=True)
@@ -786,27 +770,19 @@ def no_go_standard_qm(n) -> NoGoResult:
     The candidate A0 = c qhat phat must satisfy
     (i/hbar) [A0, qhat] = -(2/(2-n)) qhat  and
     (i/hbar) [A0, phat] = -(n/(2-n)) phat.
-    Both linear conditions are solved on the unbarred Heisenberg pair of
-    the split basis; they agree only at n = -2."""
+    Both are taken on the unbarred Heisenberg pair of the split basis,
+    where (i/hbar) [qhat phat, X] is the exact ring multiple +X for
+    X = qhat and -X for X = phat. Each condition is linear in c, so c is
+    its right-hand side over that factor; the two agree only at n = -2."""
     ns = sp.nsimplify(n, rational=True)
     if ns == 2:
         raise HarmonicCaseError("n = 2 has its own similarity generator")
-    c = sp.Symbol("c")
-    qh = OperatorPoly.generator(BOPP, 0)
-    ph = OperatorPoly.generator(BOPP, 2)
-    a0 = (qh * ph).scale(c)
-
-    def solve_condition(target_op, coeff_rhs):
-        lhs = commutator(a0, target_op).scale(sp.I / hbar) - target_op.scale(coeff_rhs)
-        eqs = [sp.Eq(lhs.coefficient(key), 0) for key in lhs.terms]
-        sols = sp.solve(eqs, c, dict=True)
-        if len(sols) != 1:
-            raise ValueError(f"condition did not pin c uniquely: {sols}")
-        return sols[0][c]
-
-    c_q = solve_condition(qh, -2 / (2 - ns))
-    c_p = solve_condition(ph, -ns / (2 - ns))
-    gap = sp.simplify(c_p - c_q)
+    q_key, p_key = (1, 0, 0, 0), (0, 0, 1, 0)
+    qh, ph = OperatorPoly(BOPP, {q_key: 1}), OperatorPoly(BOPP, {p_key: 1})
+    qp = qh * ph
+    c_q = (-2 / (2 - ns)) / commutator(qp, qh).scale(sp.I / hbar).coefficient(q_key)
+    c_p = (-ns / (2 - ns)) / commutator(qp, ph).scale(sp.I / hbar).coefficient(p_key)
+    gap = c_p - c_q
     if gap == 0:
         return NoGoResult(alpha_tilde=c_q, gap=sp.Integer(0), consistent=True)
     return NoGoResult(alpha_tilde=None, gap=gap, consistent=False)

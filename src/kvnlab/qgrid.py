@@ -31,7 +31,7 @@ import scipy.fft
 from scipy.interpolate import RectBivariateSpline
 
 from .core import HbarContext, MonomialPotential
-from .dynamics import IntegratorConfig, flow_map_batch
+from .dynamics import flow_map_batch
 from .errors import NonNormalizable, SupportExit
 
 REP_QP = "qp"
@@ -210,15 +210,10 @@ def _interpolate(state: GridState2D, pts1, pts2, fill_warning: str):
             f"{fill_warning}: {n_out} sample points left the grid; zero-filled",
             DomainExitWarning,
         )
-    return vals.reshape(np.shape(pts1)), inside.reshape(np.shape(pts1))
+    return vals.reshape(np.shape(pts1))
 
 
-def evolve_liouville(
-    state: GridState2D,
-    pot: MonomialPotential,
-    t: float,
-    cfg: IntegratorConfig = IntegratorConfig(),
-) -> GridState2D:
+def evolve_liouville(state: GridState2D, pot: MonomialPotential, t: float) -> GridState2D:
     """Transport a (q, p) amplitude along classical characteristics.
 
     Semi-Lagrangian step: each node is pulled back through the classical
@@ -231,8 +226,8 @@ def evolve_liouville(
     if t == 0:
         return GridState2D(state.axis1, state.axis2, state.amps.copy(), state.rep, state.hbar)
     qn, pn = np.meshgrid(state.axis1.points(), state.axis2.points(), indexing="ij")
-    q0, p0 = flow_map_batch(qn, pn, pot, -t, cfg)
-    vals, _ = _interpolate(
+    q0, p0 = flow_map_batch(qn, pn, pot, -t)
+    vals = _interpolate(
         state, q0.reshape(qn.shape), p0.reshape(pn.shape), "classical transport"
     )
     return GridState2D(state.axis1, state.axis2, vals, state.rep, state.hbar)
@@ -296,32 +291,32 @@ def evolve_G(
     return GridState2D(state.axis1, state.axis2, psi, state.rep, state.hbar)
 
 
-def _warn_if_aliased(psi, tail_fraction: float = 8, threshold: float = 1e-6):
+def _warn_if_aliased(psi):
+    """Warn when the highest wavenumbers, FFT indices n/2 +- n/8 of either
+    axis, hold more than 1e-6 of the spectral weight."""
     spec = np.abs(scipy.fft.fft2(psi)) ** 2
     total = float(spec.sum())
     if total == 0:
         return
     n1, n2 = spec.shape
-    b1, b2 = n1 // tail_fraction, n2 // tail_fraction
+    b1, b2 = n1 // 8, n2 // 8
     lo1, hi1 = n1 // 2 - b1, n1 // 2 + b1
     lo2, hi2 = n2 // 2 - b2, n2 // 2 + b2
     tail = float(spec[lo1:hi1, :].sum() + spec[:, lo2:hi2].sum())
-    if tail / total > threshold:
+    if tail / total > 1e-6:
         warnings.warn(
-            f"spectral tail fraction {tail / total:.3e} above {threshold:.1e}",
+            f"spectral tail fraction {tail / total:.3e} above 1.0e-06",
             AliasingWarning,
         )
 
 
-def apply_lms_unitary_harmonic(
-    state: GridState2D, alpha: float, norm_budget: float = 1e-3
-) -> GridState2D:
+def apply_lms_unitary_harmonic(state: GridState2D, alpha: float) -> GridState2D:
     """Similarity unitary of the harmonic case as a hyperbolic remap.
 
     The generator acts as the vector field Qbar d/dQ + Q d/dQbar, whose
     time-alpha flow is (Q, Qbar) -> (Q cosh a + Qbar sinh a,
     Q sinh a + Qbar cosh a). The flow is area preserving, so the remap is
-    unitary up to interpolation; a norm change beyond norm_budget means
+    unitary up to interpolation; a relative norm change beyond 1e-3 means
     the mapped support left the grid."""
     if state.rep != REP_QQBAR:
         raise ValueError("the similarity remap needs the qqbar representation")
@@ -332,10 +327,10 @@ def apply_lms_unitary_harmonic(
     src2 = sh * qn + ch * bn
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DomainExitWarning)
-        vals, _ = _interpolate(state, src1, src2, "similarity remap")
+        vals = _interpolate(state, src1, src2, "similarity remap")
     out = GridState2D(state.axis1, state.axis2, vals, state.rep, state.hbar)
     after = out.norm()
-    if abs(after - before) > norm_budget * max(before, 1e-300):
+    if abs(after - before) > 1e-3 * max(before, 1e-300):
         raise SupportExit(
             f"norm changed {before:.6e} -> {after:.6e}; support left the grid"
         )

@@ -50,6 +50,7 @@ SCHEMA = {
         "lms": {
             "type": "object",
             "additionalProperties": False,
+            "maxProperties": 1,
             "properties": {
                 "alpha": {"type": "number", "exclusiveMinimum": 0},
                 "beta": {"type": "number"},
@@ -101,11 +102,19 @@ DEFAULT_SEED = 0
 
 
 def validate_scenario(obj) -> dict:
-    """Check a parsed scenario against the schema; ScenarioError on failure."""
+    """Check a parsed scenario against the schema; ScenarioError on failure.
+
+    The schema cannot say that a grid count is a power of two, which the
+    split-step grids need; that is checked here, before any check runs."""
     try:
         jsonschema.validate(obj, SCHEMA)
     except jsonschema.ValidationError as exc:
         raise ScenarioError(f"scenario invalid: {exc.message}") from exc
+    count = obj.get("grid", {}).get("count", DEFAULT_GRID["count"])
+    # qgrid.GridAxis needs an int power of two; the schema's "integer" also
+    # admits 128.0. The bit test is inlined to keep numpy out of this module.
+    if not (isinstance(count, int) and count & (count - 1) == 0):
+        raise ScenarioError(f"scenario invalid: grid count {count!r} is not a power of two")
     return obj
 
 

@@ -4,9 +4,10 @@ The loop action J(E) = 2 * integral sqrt(2(E - V)) dq between turning
 points obeys J(alpha^n E) = alpha^(1+n/2) J(E) under the similarity
 rescale, so quantized levels J = (k + 1/2) 2 pi hbar are not mapped to
 levels unless 1 + n/2 = 0. Separately, the rescaled Lagrangian gamma*L
-yields H_gamma = p_gamma^2 / (2 gamma m) + gamma V with identical q(t)
-but gamma-dependent spectra (except the harmonic case, whose frequency
-is gamma-free while its eigenfunction widths are not).
+yields H_gamma = p_gamma^2 / (2 gamma) + gamma V (mass 1 scaled by gamma)
+with identical q(t) but gamma-dependent spectra (except the harmonic
+case, whose frequency is gamma-free while its eigenfunction widths are
+not).
 """
 
 from __future__ import annotations
@@ -20,10 +21,12 @@ from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
 from .core import LmsParams, MonomialPotential, PhasePoint
-from .dynamics import IntegratorConfig, guarded_solve, sample_times
+from .dynamics import guarded_solve, sample_times
 from .errors import ConvergenceFailure, NoBoundOrbit, RangeExhausted
 
 TURNING_TOL = 1e-12
+#: Sample spacing of the side-by-side Newton-equivalent trajectories.
+NEWTON_EQUIV_DT = 0.01
 
 
 def _bound_orbit_exponent(pot: MonomialPotential) -> int:
@@ -164,12 +167,12 @@ class NewtonEquivReport:
     max_energy_relation_dev: float
 
 
-def _hamilton_rhs(pot: MonomialPotential, gamma: float, mass: float):
+def _hamilton_rhs(pot: MonomialPotential, gamma: float):
     force = pot.force
 
     def rhs(t, y):
         q, pg = y
-        return (pg / (gamma * mass), -gamma * force(q))
+        return (pg / gamma, -gamma * force(q))
 
     return rhs
 
@@ -177,28 +180,26 @@ def _hamilton_rhs(pot: MonomialPotential, gamma: float, mass: float):
 def newton_equiv_trajectory_check(
     pot: MonomialPotential,
     gamma: float,
-    mass: float,
     x0: PhasePoint,
     T: float,
-    cfg: IntegratorConfig = IntegratorConfig(),
 ) -> NewtonEquivReport:
     """Integrate H_standard and H_gamma side by side from matched data.
 
     Matching means equal q0 and equal initial velocity, i.e.
     p_gamma(0) = gamma p(0). Reported are the sup differences of q(t),
     of p_gamma(t) versus gamma p(t), and of H_gamma versus gamma H_st."""
-    if gamma <= 0 or mass <= 0:
-        raise ValueError("gamma and mass must be positive")
-    t_eval = sample_times(T, cfg.dt)
+    if gamma <= 0:
+        raise ValueError("gamma must be positive")
+    t_eval = sample_times(T, NEWTON_EQUIV_DT)
 
     def run(gv):
-        y0 = [x0.q, gv * mass * (x0.p / mass)]
-        return guarded_solve(_hamilton_rhs(pot, gv, mass), y0, T, pot, cfg, t_eval=t_eval).y
+        y0 = [x0.q, gv * x0.p]
+        return guarded_solve(_hamilton_rhs(pot, gv), y0, T, pot, t_eval=t_eval).y
 
     y_st = run(1.0)
     y_g = run(gamma)
-    h_st = y_st[1] ** 2 / (2.0 * mass) + pot.value(y_st[0])
-    h_g = y_g[1] ** 2 / (2.0 * gamma * mass) + gamma * pot.value(y_g[0])
+    h_st = y_st[1] ** 2 / 2.0 + pot.value(y_st[0])
+    h_g = y_g[1] ** 2 / (2.0 * gamma) + gamma * pot.value(y_g[0])
     return NewtonEquivReport(
         gamma=gamma,
         max_q_diff=float(np.max(np.abs(y_g[0] - y_st[0]))),
@@ -217,34 +218,34 @@ class EigenResult:
     count: int
 
 
-def ground_width(pot: MonomialPotential, gamma: float, mass: float, hbar: float) -> float:
+def ground_width(pot: MonomialPotential, gamma: float, hbar: float) -> float:
     """Length where kinetic and potential scales balance for H_gamma."""
     n = _bound_orbit_exponent(pot)
-    return (hbar**2 * n / (2.0 * gamma**2 * mass * pot.g)) ** (1.0 / (n + 2.0))
+    return (hbar**2 * n / (2.0 * gamma**2 * pot.g)) ** (1.0 / (n + 2.0))
 
 
 def eigensolve_newton_equiv(
     pot: MonomialPotential,
     gamma: float,
-    mass: float,
     hbar: float,
     k: int,
+    *,
     count: int = 2048,
 ) -> EigenResult:
-    """Finite-difference spectrum of -hbar^2/(2 gamma m) d^2 + gamma V.
+    """Finite-difference spectrum of -hbar^2/(2 gamma) d^2 + gamma V.
 
     Dirichlet box of 8 ground widths, second-order three-point stencil,
     discretization error estimated by re-solving at half the grid count."""
-    if gamma <= 0 or mass <= 0 or hbar <= 0:
-        raise ValueError("gamma, mass, hbar must be positive")
+    if gamma <= 0 or hbar <= 0:
+        raise ValueError("gamma and hbar must be positive")
     if k < 1:
         raise ValueError("need k >= 1 levels")
-    box = 8.0 * ground_width(pot, gamma, mass, hbar)
+    box = 8.0 * ground_width(pot, gamma, hbar)
 
     def solve(m_count):
         h = 2.0 * box / (m_count + 1)
         x = -box + h * np.arange(1, m_count + 1)
-        kin = hbar**2 / (2.0 * gamma * mass * h**2)
+        kin = hbar**2 / (2.0 * gamma * h**2)
         diag = 2.0 * kin + gamma * pot.value(x)
         off = np.full(m_count - 1, -kin)
         vals = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))[0]

@@ -38,7 +38,7 @@ from .core import (
     lms_params_from_alpha,
     lms_params_from_beta,
 )
-from .dynamics import IntegratorConfig, characteristic_time, energy, integrate
+from .dynamics import characteristic_time, energy, integrate
 from .report import CheckRecord, _plain, digest, write_csv
 from .semiclassics import (
     bohr_levels,
@@ -137,8 +137,7 @@ class SuiteContext:
         if key not in self._traj_cache:
             tchar = characteristic_time(pot, x0)
             horizon = periods * tchar
-            cfg = IntegratorConfig(dt=horizon / 2000)
-            self._traj_cache[key] = integrate(x0, pot, horizon, cfg)
+            self._traj_cache[key] = integrate(x0, pot, horizon, horizon / 2000)
         return self._traj_cache[key]
 
     def emit_csv(self, name: str, header, rows):
@@ -175,7 +174,7 @@ def _drift(values: np.ndarray) -> float:
 
 
 def _ext_flow(x0: ExtendedPoint, pot: MonomialPotential, t: float) -> ExtendedPoint:
-    return integrate(x0, pot, t, IntegratorConfig(dt=abs(t))).final
+    return integrate(x0, pot, t, abs(t)).final
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +225,12 @@ def suite_dynamics(ctx: SuiteContext):
     ) as out:
         traj = ctx.trajectory(pot, xf, 2.0)
         horizon = traj.times[-1]
-        cfg = IntegratorConfig(dt=horizon / 2000)
+        dt = horizon / 2000
         plus = integrate(
-            ExtendedPoint(xf.q + eps * v[0], xf.p + eps * v[1], 0.0, 0.0), pot, horizon, cfg
+            ExtendedPoint(xf.q + eps * v[0], xf.p + eps * v[1], 0.0, 0.0), pot, horizon, dt
         )
         minus = integrate(
-            ExtendedPoint(xf.q - eps * v[0], xf.p - eps * v[1], 0.0, 0.0), pot, horizon, cfg
+            ExtendedPoint(xf.q - eps * v[0], xf.p - eps * v[1], 0.0, 0.0), pot, horizon, dt
         )
         dphi = (plus.states[:, :2] - minus.states[:, :2]) / (2.0 * eps)
         pairing = traj.states[:, 2] * dphi[:, 0] + traj.states[:, 3] * dphi[:, 1]
@@ -322,8 +321,8 @@ def suite_lms_classical(ctx: SuiteContext):
         ) as out:
             traj = ctx.trajectory(pot, x0, 2.0)
             mapped = lms_map_trajectory(traj, prm)
-            cfg = IntegratorConfig(dt=abs(mapped.times[-1]) / 2000)
-            redone = integrate(mapped.initial, pot, mapped.times[-1], cfg)
+            horizon = mapped.times[-1]
+            redone = integrate(mapped.initial, pot, horizon, abs(horizon) / 2000)
             resampled = np.stack([
                 np.interp(mapped.times, redone.times, redone.states[:, k]) for k in range(4)
             ], axis=1)
@@ -644,7 +643,7 @@ def suite_newton_equiv(ctx: SuiteContext):
              "x0": [x0.q, x0.p], "horizon": 10.0},
             tol,
         ) as out:
-            rep = newton_equiv_trajectory_check(pot, gamma, 1.0, x0, 10.0)
+            rep = newton_equiv_trajectory_check(pot, gamma, x0, 10.0)
             out.measured = {"max_q_diff": rep.max_q_diff,
                             "max_p_scaled_diff": rep.max_p_scaled_diff,
                             "energy_relation_dev": rep.max_energy_relation_dev}
@@ -655,11 +654,11 @@ def suite_newton_equiv(ctx: SuiteContext):
         "ne-harmonic-spectrum", "harmonic-spectrum-gamma-free",
         {"potential": {"g": 1.0, "n": 2.0}, "gammas": [1.0, 8.0]}, 1e-6,
     ) as out:
-        base = eigensolve_newton_equiv(harm, 1.0, 1.0, 1.0, 6)
-        other = eigensolve_newton_equiv(harm, 8.0, 1.0, 1.0, 6)
+        base = eigensolve_newton_equiv(harm, 1.0, 1.0, 6)
+        other = eigensolve_newton_equiv(harm, 8.0, 1.0, 6)
         dev = float(np.max(np.abs(other.energies - base.energies)
                            / np.abs(base.energies)))
-        width_ratio = ground_width(harm, 8.0, 1.0, 1.0) / ground_width(harm, 1.0, 1.0, 1.0)
+        width_ratio = ground_width(harm, 8.0, 1.0) / ground_width(harm, 1.0, 1.0)
         out.measured = {"max_relative_spectrum_dev": dev, "ground_width_ratio": width_ratio}
         out.passed = dev < 1e-6 and abs(width_ratio - 8.0**-0.5) < 1e-12
 
@@ -671,9 +670,9 @@ def suite_newton_equiv(ctx: SuiteContext):
          "expected_power": -1.0 / 3.0},
         tol_s,
     ) as out:
-        base = eigensolve_newton_equiv(quart, 1.0, 1.0, 1.0, 6)
+        base = eigensolve_newton_equiv(quart, 1.0, 1.0, 6)
         for gamma in GAMMA_SWEEP:
-            res = eigensolve_newton_equiv(quart, gamma, 1.0, 1.0, 6)
+            res = eigensolve_newton_equiv(quart, gamma, 1.0, 6)
             ratios = res.energies / base.energies
             out.measured[f"gamma{gamma:g}"] = float(
                 np.max(np.abs(ratios - gamma ** (-1.0 / 3.0))))

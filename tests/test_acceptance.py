@@ -38,7 +38,7 @@ from kvnlab.charges import (
     strip_gradient,
     virasoro_charge,
 )
-from kvnlab.dynamics import IntegratorConfig, characteristic_time, integrate
+from kvnlab.dynamics import characteristic_time, integrate
 from kvnlab.errors import HarmonicCaseError
 from kvnlab import opalg
 from kvnlab.opalg import (
@@ -91,7 +91,7 @@ ALPHA = 1.3
 
 def _traj(pot, x0, periods, samples=2000):
     T = periods * characteristic_time(pot, x0)
-    return integrate(x0, pot, T, IntegratorConfig(dt=T / samples))
+    return integrate(x0, pot, T, T / samples)
 
 
 def _drift(values):
@@ -171,7 +171,7 @@ def test_mapped_trajectory_solves_the_same_equations(n):
     mapped = lms_map_trajectory(traj, lms_params_from_alpha(ALPHA, n))
     horizon = float(mapped.times[-1])
     redone = integrate(
-        mapped.initial, pot, horizon, IntegratorConfig(dt=horizon / 8000)
+        mapped.initial, pot, horizon, horizon / 8000
     )
     resampled = np.stack([
         np.interp(mapped.times, redone.times, redone.states[:, k])
@@ -364,16 +364,16 @@ def test_action_shift_vanishes_only_for_inverse_square():
 @pytest.mark.parametrize("gamma", [0.5, 2.0, 10.0])
 def test_rescaled_mass_orbits_identical(gamma):
     rep = newton_equiv_trajectory_check(
-        MonomialPotential(1.0, 4.0), gamma, 1.0, PhasePoint(1.0, 0.3), 10.0
+        MonomialPotential(1.0, 4.0), gamma, PhasePoint(1.0, 0.3), 10.0
     )
     assert rep.max_q_diff < 1e-7
 
 
 def test_rescaled_mass_spectra_scale_as_cube_root(gamma_set=(0.5, 2.0, 10.0)):
     pot = MonomialPotential(1.0, 4.0)
-    base = eigensolve_newton_equiv(pot, 1.0, 1.0, 1.0, 6)
+    base = eigensolve_newton_equiv(pot, 1.0, 1.0, 6)
     for gamma in gamma_set:
-        res = eigensolve_newton_equiv(pot, gamma, 1.0, 1.0, 6)
+        res = eigensolve_newton_equiv(pot, gamma, 1.0, 6)
         ratios = res.energies / base.energies
         assert np.max(np.abs(ratios - gamma ** (-1.0 / 3.0))) < 1e-3
 

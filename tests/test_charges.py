@@ -20,7 +20,7 @@ from kvnlab.charges import (
     virasoro_charge,
 )
 from kvnlab.core import ExtendedPoint, MonomialPotential
-from kvnlab.dynamics import IntegratorConfig, characteristic_time, integrate
+from kvnlab.dynamics import characteristic_time, integrate
 from kvnlab.errors import HarmonicCaseError, NegativeBaseError, NullLiouvillianError
 
 FIXTURES = [
@@ -34,7 +34,7 @@ FIXTURES = [
 
 def _fixture_traj(pot, x0, periods=20.0):
     T = periods * characteristic_time(pot, x0)
-    return integrate(x0, pot, T, IntegratorConfig(dt=T / 2000))
+    return integrate(x0, pot, T, T / 2000)
 
 
 def test_liouvillian_value_quartic():

@@ -120,6 +120,18 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "initial_conditions" in proc.stderr
 
+    @pytest.mark.parametrize("body, extra", [
+        (dict(BASIC, suite="quantum-leak", grid={"count": 100}), []),
+        (dict(BASIC, lms={"alpha": 1.3, "beta": 5.0}), []),
+        (BASIC, ["--seed", "-3"]),
+    ], ids=["grid-count-not-power-of-two", "alpha-with-beta", "negative-seed-override"])
+    def test_rejected_before_any_check_is_two(self, tmp_path, capsys, body, extra):
+        sc = write_scenario(tmp_path, body)
+        proc = run_main(["run", str(sc), "--out", str(tmp_path / "rep"), *extra], capsys)
+        assert proc.returncode == 2, proc.stderr
+        assert "scenario invalid" in proc.stderr
+        assert not (tmp_path / "rep").exists()
+
     def test_failing_check_is_one(self, tmp_path):
         body = dict(BASIC)
         body["tolerances"] = {"trajectory_match": 1e-30}

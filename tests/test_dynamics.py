@@ -8,7 +8,6 @@ from scipy.integrate import solve_ivp
 
 from kvnlab.core import ExtendedPoint, MonomialPotential, PhasePoint
 from kvnlab.dynamics import (
-    IntegratorConfig,
     characteristic_time,
     eom_rhs,
     flow_map,
@@ -73,7 +72,7 @@ class TestIntegrate:
         ]
         for pot, x0 in cases:
             T = 2.0 * characteristic_time(pot, x0)
-            traj = integrate(x0, pot, T, IntegratorConfig(dt=T / 500))
+            traj = integrate(x0, pot, T, T / 500)
             e = 0.5 * traj.states[:, 1] ** 2 + np.array(
                 [pot.value(q) for q in traj.states[:, 0]]
             )
@@ -142,7 +141,7 @@ class TestTangentPairing:
         assert np.max(np.abs(pairing - pairing[0])) < 1e-8 * (1.0 + abs(pairing[0]))
 
         # and the library trajectory agrees with the oracle's extended block
-        traj = integrate(x0, pot, T, IntegratorConfig(dt=T / 299))
+        traj = integrate(x0, pot, T, T / 299)
         lib = np.stack([
             np.interp(sol.t, traj.times, traj.states[:, k]) for k in range(4)
         ])

@@ -14,7 +14,7 @@ import scipy.fft
 
 import kvnlab
 from kvnlab.core import MonomialPotential
-from kvnlab.dynamics import IntegratorConfig, flow_map_batch
+from kvnlab.dynamics import flow_map_batch
 from kvnlab.errors import NonNormalizable, SupportExit
 from kvnlab.qgrid import (
     GRID_EXPONENTS,
@@ -204,9 +204,7 @@ class TestLiouvilleTransport:
         state = _qp_gaussian(count=256)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DomainExitWarning)
-            out = evolve_liouville(
-                state, HARMONIC, 2.0 * math.pi, IntegratorConfig(dt=0.05)
-            )
+            out = evolve_liouville(state, HARMONIC, 2.0 * math.pi)
         assert np.max(np.abs(out.amps - state.amps)) < 1e-3
 
     def test_harmonic_rotation_closed_form(self):
@@ -549,7 +547,7 @@ def _resample(state, pts1, pts2):
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DomainExitWarning)
-        vals, _ = _interpolate(
+        vals = _interpolate(
             state,
             np.broadcast_to(pts1, (state.axis1.count, state.axis2.count)),
             np.broadcast_to(pts2, (state.axis1.count, state.axis2.count)),

@@ -127,7 +127,7 @@ class TestNewtonEquivalence:
     @pytest.mark.parametrize("gamma", [0.5, 2.0, 10.0])
     def test_positions_identical_quartic(self, gamma):
         rep = newton_equiv_trajectory_check(
-            QUARTIC, gamma, 1.0, PhasePoint(1.0, 0.3), 10.0
+            QUARTIC, gamma, PhasePoint(1.0, 0.3), 10.0
         )
         assert rep.max_q_diff < 1e-7
         assert rep.max_p_scaled_diff < 1e-6
@@ -135,13 +135,13 @@ class TestNewtonEquivalence:
 
     def test_positions_identical_harmonic(self):
         rep = newton_equiv_trajectory_check(
-            HARMONIC, 3.0, 1.0, PhasePoint(0.7, -0.4), 12.0
+            HARMONIC, 3.0, PhasePoint(0.7, -0.4), 12.0
         )
         assert rep.max_q_diff < 1e-7
 
     def test_gamma_must_be_positive(self):
         with pytest.raises(ValueError):
-            newton_equiv_trajectory_check(QUARTIC, -1.0, 1.0, PhasePoint(1.0, 0.0), 1.0)
+            newton_equiv_trajectory_check(QUARTIC, -1.0, PhasePoint(1.0, 0.0), 1.0)
 
     @pytest.mark.parametrize("n", [-2.0, 2.5])
     def test_infall_hits_the_domain_guard(self, n):
@@ -149,24 +149,24 @@ class TestNewtonEquivalence:
         # beyond (n = 2.5); the integrator's guard must stop them
         with pytest.raises(SingularityAbort), np.errstate(invalid="ignore"):
             newton_equiv_trajectory_check(
-                MonomialPotential(1.0, n), 2.0, 1.0, PhasePoint(1.0, 0.3), 10.0
+                MonomialPotential(1.0, n), 2.0, PhasePoint(1.0, 0.3), 10.0
             )
 
 
 class TestGroundWidth:
     def test_harmonic_closed_form(self):
         # (hbar^2 2 / (2 gamma^2 m g))^(1/4) = sqrt(hbar) at unit values
-        assert ground_width(HARMONIC, 1.0, 1.0, 1.0) == pytest.approx(1.0)
-        assert ground_width(HARMONIC, 8.0, 1.0, 1.0) == pytest.approx(8.0**-0.5)
+        assert ground_width(HARMONIC, 1.0, 1.0) == pytest.approx(1.0)
+        assert ground_width(HARMONIC, 8.0, 1.0) == pytest.approx(8.0**-0.5)
 
     def test_unbound_rejected(self):
         with pytest.raises(NoBoundOrbit):
-            ground_width(MonomialPotential(1.0, 3.0), 1.0, 1.0, 1.0)
+            ground_width(MonomialPotential(1.0, 3.0), 1.0, 1.0)
 
 
 class TestEigensolve:
     def test_harmonic_levels(self):
-        res = eigensolve_newton_equiv(HARMONIC, 1.0, 1.0, 1.0, 6)
+        res = eigensolve_newton_equiv(HARMONIC, 1.0, 1.0, 6)
         dev = np.abs(res.energies - (np.arange(6) + 0.5))
         # second-order finite differences on 2048 points leave ~1e-4 in
         # the sixth level; the reported estimate must cover the truth
@@ -175,8 +175,8 @@ class TestEigensolve:
         assert np.all(res.error_estimate < 1e-3)
 
     def test_harmonic_spectrum_gamma_free(self):
-        base = eigensolve_newton_equiv(HARMONIC, 1.0, 1.0, 1.0, 6)
-        other = eigensolve_newton_equiv(HARMONIC, 8.0, 1.0, 1.0, 6)
+        base = eigensolve_newton_equiv(HARMONIC, 1.0, 1.0, 6)
+        other = eigensolve_newton_equiv(HARMONIC, 8.0, 1.0, 6)
         assert np.max(np.abs(other.energies - base.energies)) < 1e-10
 
     def test_harmonic_states_shrink_with_gamma(self):
@@ -186,7 +186,7 @@ class TestEigensolve:
 
         def ground_sigma(gamma):
             count = 2048
-            L = 8.0 * ground_width(HARMONIC, gamma, 1.0, 1.0)
+            L = 8.0 * ground_width(HARMONIC, gamma, 1.0)
             x = np.linspace(-L, L, count + 2)[1:-1]
             h = x[1] - x[0]
             kin = 1.0 / (2.0 * gamma * h * h)
@@ -202,18 +202,18 @@ class TestEigensolve:
 
     @pytest.mark.parametrize("gamma", [0.5, 2.0, 10.0])
     def test_quartic_scaling_power(self, gamma):
-        base = eigensolve_newton_equiv(QUARTIC, 1.0, 1.0, 1.0, 6)
-        res = eigensolve_newton_equiv(QUARTIC, gamma, 1.0, 1.0, 6)
+        base = eigensolve_newton_equiv(QUARTIC, 1.0, 1.0, 6)
+        res = eigensolve_newton_equiv(QUARTIC, gamma, 1.0, 6)
         ratios = res.energies / base.energies
         assert np.max(np.abs(ratios - gamma ** (-1.0 / 3.0))) < 1e-3
 
     def test_error_estimate_shrinks_with_resolution(self):
-        coarse = eigensolve_newton_equiv(QUARTIC, 1.0, 1.0, 1.0, 3, count=512)
-        fine = eigensolve_newton_equiv(QUARTIC, 1.0, 1.0, 1.0, 3, count=2048)
+        coarse = eigensolve_newton_equiv(QUARTIC, 1.0, 1.0, 3, count=512)
+        fine = eigensolve_newton_equiv(QUARTIC, 1.0, 1.0, 3, count=2048)
         assert np.all(fine.error_estimate < coarse.error_estimate)
 
     def test_box_respects_ground_width(self):
-        res = eigensolve_newton_equiv(QUARTIC, 2.0, 1.0, 1.0, 3)
+        res = eigensolve_newton_equiv(QUARTIC, 2.0, 1.0, 3)
         assert res.box_halfwidth == pytest.approx(
-            8.0 * ground_width(QUARTIC, 2.0, 1.0, 1.0)
+            8.0 * ground_width(QUARTIC, 2.0, 1.0)
         )

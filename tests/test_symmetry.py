@@ -12,7 +12,7 @@ from kvnlab.core import (
     lms_params_from_alpha,
     lms_params_from_beta,
 )
-from kvnlab.dynamics import IntegratorConfig, characteristic_time, integrate
+from kvnlab.dynamics import characteristic_time, integrate
 from kvnlab.errors import (
     DegenerateAction,
     HarmonicCaseError,
@@ -35,7 +35,7 @@ QUARTIC = MonomialPotential(1.0, 4.0)
 
 def _traj(pot, x0, periods):
     T = periods * characteristic_time(pot, x0)
-    return integrate(x0, pot, T, IntegratorConfig(dt=T / 2000))
+    return integrate(x0, pot, T, T / 2000)
 
 
 class TestPointMap:
@@ -96,7 +96,7 @@ class TestTrajectoryMap:
         mapped = lms_map_trajectory(traj, prm)
         redone = integrate(
             mapped.initial, pot, mapped.times[-1],
-            IntegratorConfig(dt=mapped.times[-1] / 2000),
+            mapped.times[-1] / 2000,
         )
         resampled = np.stack([
             np.interp(mapped.times, redone.times, redone.states[:, k])
@@ -166,7 +166,7 @@ class TestActions:
         # exponent is indeterminate
         pot = MonomialPotential(1.0, 2.0)
         x0 = ExtendedPoint(1.0, 0.0, 0.3, -0.2)
-        traj = integrate(x0, pot, 2.0 * math.pi, IntegratorConfig(dt=0.005))
+        traj = integrate(x0, pot, 2.0 * math.pi, 0.005)
         with pytest.raises(DegenerateAction):
             check_action_scaling(traj, pot, lms_params_from_alpha(1.3, 2.0))
 
@@ -188,7 +188,7 @@ class TestActions:
     def test_standard_action_nonzero_fixture(self):
         pot = MonomialPotential(1.0, 2.0)
         x0 = ExtendedPoint(1.0, 0.0, 0.3, -0.2)
-        traj = integrate(x0, pot, 1.7, IntegratorConfig(dt=0.001))
+        traj = integrate(x0, pot, 1.7, 0.001)
         assert abs(action_standard(traj, pot)) > 1e-3
 
 
