@@ -111,8 +111,7 @@ def validate_scenario(obj) -> dict:
     except jsonschema.ValidationError as exc:
         raise ScenarioError(f"scenario invalid: {exc.message}") from exc
     count = obj.get("grid", {}).get("count", DEFAULT_GRID["count"])
-    # qgrid.GridAxis needs an int power of two; the schema's "integer" also
-    # admits 128.0. The bit test is inlined to keep numpy out of this module.
+    # the schema's "integer" also admits 128.0, which qgrid.GridAxis rejects
     if not (isinstance(count, int) and count & (count - 1) == 0):
         raise ScenarioError(f"scenario invalid: grid count {count!r} is not a power of two")
     return obj
