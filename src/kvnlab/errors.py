@@ -86,4 +86,4 @@ class ScenarioError(KvnLabError):
 
 
 class CheckFailure(KvnLabError):
-    """A suite check completed but its verdict is fail."""
+    """A suite check names an anchor that report.CLAIMS does not register."""

@@ -2,13 +2,15 @@
 
 Operators are finite combinations of normally ordered monomials in four
 generators with exact coefficients. A coefficient is a Laurent polynomial
-in (i, hbar, t, alpha) over the rationals, held as a plain dict
-{(ei, eh, et, ea): value} with i^2 = -1 reduced on multiply (ei is 0 or 1)
-and eh < 0 for the powers of 1/hbar that the split basis introduces. A
-value is an int or a Fraction; a factor outside the ring (exp(alpha) from a
-finite adjoint) stays a sympy scalar in the same value slot. Conversion to
-and from sympy happens only at the boundary: constructors, scale and
-_accumulate take int, Rational or Expr; coefficient() returns an Expr.
+in (i, hbar, t, alpha, E) over the rationals, E = exp(alpha), held as a
+plain dict {(ei, eh, et, ea, ee): value} with i^2 = -1 reduced on multiply
+(ei is 0 or 1), eh < 0 for the powers of 1/hbar that the split basis
+introduces and ee the k of exp(k alpha) that a finite adjoint introduces.
+A value is an int or a Fraction. The monomials alpha^j exp(k alpha) are
+linearly independent, so two normal forms are equal exactly when their
+dicts are. Conversion to and from sympy happens only at the boundary:
+constructors, scale and _accumulate take int, Rational or Expr (cosh and
+sinh are rewritten through exp); coefficient() returns an Expr.
 Two instances of the same engine are used:
 
 * the position algebra with generators q, p, lq, lp, canonical pairs
@@ -69,10 +71,10 @@ KVN = Algebra(("q", "p", "lq", "lp"), (1, 0), (1, 0))
 BOPP = Algebra(("Q", "Qbar", "P", "Pbar"), (1, 1), (-1, 1))
 
 
-# -- coefficients: Laurent polynomials in (i, hbar, t, alpha) --------------
+# -- coefficients: Laurent polynomials in (i, hbar, t, alpha, exp(alpha)) --
 
 _RING_SYMBOLS = (hbar, t_sym, alpha_sym)
-_UNIT = (0, 0, 0, 0)
+_UNIT = (0, 0, 0, 0, 0)
 
 
 def _rational(x: sp.Rational):
@@ -85,38 +87,37 @@ def _coeff(value) -> dict:
         return {_UNIT: value} if value else {}
     if isinstance(value, sp.Rational):
         return {_UNIT: _rational(value)} if value else {}
-    expr = value if isinstance(value, sp.Basic) else sp.sympify(value)
+    expr = sp.sympify(value)
     if expr.has(sp.Float):
         raise TypeError(f"floating-point coefficient {value!r}; use an exact number")
+    if expr.has(sp.cosh, sp.sinh):
+        expr = expr.rewrite(sp.exp)
     out = {}
     for term in sp.Add.make_args(sp.expand(expr)):
         num, rest = term.as_coeff_Mul()
-        key = [0, 0, 0, 0]
-        others = []
+        key = [0, 0, 0, 0, 0]
         for factor in sp.Mul.make_args(rest):
             base, e = factor.as_base_exp()
             if factor == sp.I:
                 key[0] = 1
             elif base in _RING_SYMBOLS and e.is_Integer:
                 key[1 + _RING_SYMBOLS.index(base)] += int(e)
+            elif isinstance(factor, sp.exp) and (k := e / alpha_sym).is_Integer:
+                key[4] += int(k)
             elif factor != 1:
-                others.append(factor)
-        if others:
-            other = sp.Mul(*others)
-            if hbar in other.free_symbols:
-                raise TypeError(f"coefficient {value} is not a Laurent polynomial in hbar")
-            v = num * other
-        else:
-            v = _rational(num)
-        out = _cadd(out, {tuple(key): v})
+                raise TypeError(
+                    f"coefficient {value} is not a Laurent polynomial"
+                    " in (i, hbar, t, alpha, exp(alpha))"
+                )
+        out = _cadd(out, {tuple(key): _rational(num)})
     return out
 
 
 def _expr(c: dict) -> sp.Expr:
     """The sympy expression of a coefficient dict, expanded."""
     return sp.expand(sp.Add(*(
-        sp.sympify(v) * sp.I**ei * hbar**eh * t_sym**et * alpha_sym**ea
-        for (ei, eh, et, ea), v in c.items()
+        sp.sympify(v) * sp.I**ei * hbar**eh * t_sym**et * alpha_sym**ea * sp.exp(ee * alpha_sym)
+        for (ei, eh, et, ea, ee), v in c.items()
     )))
 
 
@@ -133,13 +134,13 @@ def _cadd(x: dict, y: dict) -> dict:
 
 def _cmul(x: dict, y: dict) -> dict:
     out = {}
-    for (i1, h1, t1, a1), u in x.items():
-        for (i2, h2, t2, a2), v in y.items():
+    for (i1, h1, t1, a1, e1), u in x.items():
+        for (i2, h2, t2, a2, e2), v in y.items():
             w = u * v
             i = i1 + i2
             if i == 2:
                 i, w = 0, -w
-            key = (i, h1 + h2, t1 + t2, a1 + a2)
+            key = (i, h1 + h2, t1 + t2, a1 + a2, e1 + e2)
             s = out.get(key, 0) + w
             if s == 0:
                 out.pop(key, None)
@@ -149,13 +150,8 @@ def _cmul(x: dict, y: dict) -> dict:
 
 
 def _cconj(x: dict) -> dict:
-    """Complex conjugate; hbar, t and alpha are real."""
-    out = {}
-    for key, v in x.items():
-        if isinstance(v, sp.Basic):
-            v = sp.conjugate(v)
-        out[key] = -v if key[0] else v
-    return out
+    """Complex conjugate; hbar, t, alpha and exp(alpha) are real."""
+    return {key: -v if key[0] else v for key, v in x.items()}
 
 
 class OperatorPoly:
@@ -210,7 +206,7 @@ class OperatorPoly:
 
     @staticmethod
     def scalar(algebra: Algebra, value) -> "OperatorPoly":
-        return OperatorPoly(algebra, {_UNIT: value})
+        return OperatorPoly(algebra, {(0, 0, 0, 0): value})
 
     @staticmethod
     def generator(algebra: Algebra, slot: int) -> "OperatorPoly":
@@ -276,7 +272,7 @@ class OperatorPoly:
                             continue
                         nl = math.comb(d1, l) * math.comb(b2, l) * math.factorial(l) * (-s13) ** l
                         m = nj * nl * (-1) ** ((j + l) // 2)
-                        out._add(key, _cmul(xy, {((j + l) % 2, h02 * j + h13 * l, 0, 0): m}))
+                        out._add(key, _cmul(xy, {((j + l) % 2, h02 * j + h13 * l, 0, 0, 0): m}))
         return out
 
     def __rmul__(self, other):
@@ -325,23 +321,11 @@ class OperatorPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def equals(self, other, strong: bool = False) -> bool:
-        """Exact equality of normal forms.
-
-        Exact coefficients compare directly; strong=True routes the
-        comparison through simplify for transcendental coefficients
-        (exp/sinh from finite adjoints)."""
+    def equals(self, other) -> bool:
+        """Exact equality of normal forms: their coefficient dicts agree."""
         if not isinstance(other, OperatorPoly):
             other = OperatorPoly.scalar(self.algebra, other)
-        diff = self - other
-        if diff.is_zero():
-            return True
-        if not strong:
-            return False
-        return all(
-            sp.simplify(sp.expand(_expr(c).rewrite(sp.exp))) == 0
-            for c in diff.terms.values()
-        )
+        return (self - other).is_zero()
 
     def __eq__(self, other):
         if not isinstance(other, OperatorPoly):
@@ -463,7 +447,7 @@ def _substitute(x, target, images):
     out = OperatorPoly.zero(target)
     for key, coeff in x.terms.items():
         term = OperatorPoly(target)
-        term.terms[_UNIT] = coeff
+        term.terms[(0, 0, 0, 0)] = coeff
         for slot, e in enumerate(key):
             if e:
                 term = term * powers[slot](e)
@@ -487,17 +471,22 @@ def weyl_substitute(expr, X: OperatorPoly, Y: OperatorPoly) -> OperatorPoly:
     """Symmetric-ordered substitution of (X, Y) into C(q, p).
 
     Each monomial q^a p^b maps to 2^(-a) * sum_k C(a,k) X^k Y^b X^(a-k),
-    the symmetric ordering in closed form. For polynomials without mixed
-    q-p monomials this reduces to plain substitution."""
+    the symmetric ordering in closed form. A monomial without one of the
+    two variables maps to the plain power X^a or Y^b, which is its
+    symmetric ordering."""
+    return _weyl_terms(_as_qp_poly(expr).terms(), X, Y)
+
+
+def _weyl_terms(terms, X: OperatorPoly, Y: OperatorPoly) -> OperatorPoly:
+    """weyl_substitute on the ((a, b), coeff) terms of C."""
     X._check_same(Y)
-    poly = _as_qp_poly(expr)
     out = OperatorPoly.zero(X.algebra)
     xpow, ypow = _powers(X), _powers(Y)
-    for (a, b), coeff in poly.terms():
-        yb = ypow(b)
-        if a == 0:
-            out._add_poly(yb.scale(coeff))
+    for (a, b), coeff in terms:
+        if a == 0 or b == 0:
+            out._add_poly((ypow(b) if a == 0 else xpow(a)).scale(coeff))
             continue
+        yb = ypow(b)
         acc = OperatorPoly.zero(X.algebra)
         for k in range(a + 1):
             acc._add_poly((xpow(k) * yb * xpow(a - k)).scale(math.comb(a, k)))
@@ -513,8 +502,11 @@ def _require_monomial_exponent(pot: MonomialPotential) -> int:
 
 
 @functools.cache
-def _exact_coupling(pot: MonomialPotential):
-    return sp.nsimplify(pot.g, rational=True)
+def _hamiltonian(pot: MonomialPotential) -> sp.Expr:
+    """H(q, p) = p^2/2 + g q^n / n with g as an exact rational."""
+    n = _require_monomial_exponent(pot)
+    g = sp.nsimplify(pot.g, rational=True)
+    return p_c**2 / 2 + g * q_c**n * sp.Rational(1, n)
 
 
 def _divide_by_hbar(x: OperatorPoly) -> OperatorPoly:
@@ -524,28 +516,22 @@ def _divide_by_hbar(x: OperatorPoly) -> OperatorPoly:
             raise InexactHbarDivision(
                 f"coefficient {_expr(coeff)} of {key} is not divisible by hbar"
             )
-        out.terms[key] = {(i, h - 1, t, a): v for (i, h, t, a), v in coeff.items()}
+        out.terms[key] = {(i, h - 1, t, a, e): v for (i, h, t, a, e), v in coeff.items()}
     return out
 
 
 def build_G(pot: MonomialPotential) -> OperatorPoly:
     """Evolution generator [H(Q, P) - H(Qbar, Pbar)] / hbar.
 
-    H(x, y) = y^2/2 + g x^n / n is ordering-unambiguous (separable), the
+    H(q, p) = p^2/2 + g q^n / n is ordering-unambiguous (separable), the
     difference is divisible by hbar exactly, and the hbar -> 0 part is the
     classical generator lq p - lp V'(q)."""
-    n = _require_monomial_exponent(pot)
-    g = _exact_coupling(pot)
-    Q, P, Qb, Pb = bopp_operators()
-    half = sp.Rational(1, 2)
-    gn = g * sp.Rational(1, n)
-    h_unbarred = P.power(2).scale(half) + Q.power(n).scale(gn)
-    h_barred = Pb.power(2).scale(half) + Qb.power(n).scale(gn)
-    return _divide_by_hbar(h_unbarred - h_barred)
+    return build_C_hbar(_hamiltonian(pot))
 
 
-def _hbar_series(expr, jmax: int) -> OperatorPoly:
-    """Odd-order derivative series for a polynomial observable C(q, p).
+def c_hbar_series(expr, jmax: int) -> OperatorPoly:
+    """Odd-order derivative series for a polynomial observable C(q, p),
+    the route that cross-validates build_C_hbar.
 
     Term j carries hbar^(2j) / (2^(2j) (2j+1)!) times the (2j+1)-fold
     contraction of the auxiliary pair with the symplectic-dual derivatives
@@ -571,20 +557,17 @@ def _hbar_series(expr, jmax: int) -> OperatorPoly:
                 continue
             lam = OperatorPoly(KVN, {(0, 0, order - k, k): 1})
             weight = pref * math.comb(order, k) * (-1) ** k
-            out._add_poly((lam * deriv)._scaled({(0, 2 * j, 0, 0): weight}))
+            out._add_poly((lam * deriv)._scaled({(0, 2 * j, 0, 0, 0): weight}))
     return out
 
 
 def build_series_G(pot: MonomialPotential, jmax: int) -> OperatorPoly:
     """Series route to the evolution generator; terminates for monomials.
 
-    With H = p^2/2 + g q^n / n every term with 2j+1 > n vanishes because
-    the (2j+1)-th derivatives of H are zero, so any jmax of at least
-    floor((n-1)/2) reproduces build_G exactly."""
-    n = _require_monomial_exponent(pot)
-    g = _exact_coupling(pot)
-    h_expr = p_c**2 / 2 + g * q_c**n * sp.Rational(1, n)
-    return _hbar_series(h_expr, jmax)
+    Every term with 2j+1 > n vanishes because the (2j+1)-th derivatives
+    of H are zero, so any jmax of at least floor((n-1)/2) reproduces
+    build_G exactly."""
+    return c_hbar_series(_hamiltonian(pot), jmax)
 
 
 def build_C_hbar(expr) -> OperatorPoly:
@@ -592,19 +575,14 @@ def build_C_hbar(expr) -> OperatorPoly:
     observable, with symmetric-ordered substitution; equals its own
     odd-derivative series and reduces to the classical vector field of C
     as hbar -> 0."""
+    terms = _as_qp_poly(expr).terms()
     Q, P, Qb, Pb = bopp_operators()
-    diff = weyl_substitute(expr, Q, P) - weyl_substitute(expr, Qb, Pb)
-    return _divide_by_hbar(diff)
-
-
-def c_hbar_series(expr, jmax: int) -> OperatorPoly:
-    """Series route to build_C_hbar for cross-validation."""
-    return _hbar_series(expr, jmax)
+    return _divide_by_hbar(_weyl_terms(terms, Q, P) - _weyl_terms(terms, Qb, Pb))
 
 
 def classical_vector_field(expr) -> OperatorPoly:
     """lq dC/dp - lp dC/dq with auxiliary factors ordered to the left."""
-    return _hbar_series(expr, 0)
+    return c_hbar_series(expr, 0)
 
 
 # -- similarity generator and adjoints -----------------------------------

@@ -48,7 +48,7 @@ class DomainExitWarning(UserWarning):
 
 
 def _power_of_two(n: int) -> bool:
-    return n >= 2 and (n & (n - 1)) == 0
+    return isinstance(n, int) and n >= 2 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)

@@ -104,12 +104,17 @@ DEFAULT_SEED = 0
 def validate_scenario(obj) -> dict:
     """Check a parsed scenario against the schema; ScenarioError on failure.
 
-    The schema cannot say that a grid count is a power of two, which the
-    split-step grids need; that is checked here, before any check runs."""
+    The schema cannot say that a number is finite (json.load accepts NaN
+    and Infinity) or that a grid count is a power of two, which the
+    split-step grids need; both are checked here, before any check runs."""
     try:
         jsonschema.validate(obj, SCHEMA)
     except jsonschema.ValidationError as exc:
         raise ScenarioError(f"scenario invalid: {exc.message}") from exc
+    try:
+        json.dumps(obj, allow_nan=False)
+    except ValueError as exc:
+        raise ScenarioError(f"scenario invalid: numbers must be finite ({exc})") from exc
     count = obj.get("grid", {}).get("count", DEFAULT_GRID["count"])
     # the schema's "integer" also admits 128.0, which qgrid.GridAxis rejects
     if not (isinstance(count, int) and count & (count - 1) == 0):

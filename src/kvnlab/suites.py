@@ -503,7 +503,7 @@ def suite_opalg(ctx: SuiteContext):
         qba = opalg.OperatorPoly.generator(opalg.BOPP, 1)
         fin = opalg.adjoint_finite_quadratic(a2, Q)
         target = qa.scale(sp.cosh(opalg.alpha_sym)) + qba.scale(sp.sinh(opalg.alpha_sym))
-        _all_flags(out, {"hyperbolic_mix": opalg.kvn_to_bopp(fin).equals(target, strong=True)})
+        _all_flags(out, {"hyperbolic_mix": opalg.kvn_to_bopp(fin).equals(target)})
 
     with ctx.check("op-no-go", "no-unitary-rescaling",
                    {"exponents": [-2, 1, 3, 4]}, 0.0) as out:

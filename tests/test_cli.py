@@ -124,7 +124,12 @@ class TestExitCodes:
         (dict(BASIC, suite="quantum-leak", grid={"count": 100}), []),
         (dict(BASIC, lms={"alpha": 1.3, "beta": 5.0}), []),
         (BASIC, ["--seed", "-3"]),
-    ], ids=["grid-count-not-power-of-two", "alpha-with-beta", "negative-seed-override"])
+        (dict(BASIC, potential={"g": float("nan"), "n": 2.0}), []),
+        (dict(BASIC, grid={"hbar": float("nan")}), []),
+        (dict(BASIC, lms={"alpha": float("inf")}), []),
+        (dict(BASIC, tolerances={"charge_drift": float("nan")}), []),
+    ], ids=["grid-count-not-power-of-two", "alpha-with-beta", "negative-seed-override",
+            "nan-coupling", "nan-hbar", "infinite-alpha", "nan-tolerance"])
     def test_rejected_before_any_check_is_two(self, tmp_path, capsys, body, extra):
         sc = write_scenario(tmp_path, body)
         proc = run_main(["run", str(sc), "--out", str(tmp_path / "rep"), *extra], capsys)

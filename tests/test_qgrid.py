@@ -128,6 +128,8 @@ class TestGridAxis:
             GridAxis(0.0, 4.0, 100)
         with pytest.raises(ValueError):
             GridAxis(0.0, 4.0, 1)
+        with pytest.raises(ValueError):
+            GridAxis(0.0, 8.0, 128.0)
 
     def test_wavenumbers_parseval(self):
         ax = GridAxis(0.0, 4.0, 64)
