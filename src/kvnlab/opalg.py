@@ -81,6 +81,12 @@ def _rational(x: sp.Rational):
     return int(x.p) if x.q == 1 else Fraction(x.p, x.q)
 
 
+def _not_laurent(value) -> TypeError:
+    return TypeError(
+        f"coefficient {value} is not a Laurent polynomial in (i, hbar, t, alpha, exp(alpha))"
+    )
+
+
 def _coeff(value) -> dict:
     """Coefficient dict of an int, a sympy Rational or a sympy expression."""
     if isinstance(value, int):
@@ -105,10 +111,9 @@ def _coeff(value) -> dict:
             elif isinstance(factor, sp.exp) and (k := e / alpha_sym).is_Integer:
                 key[4] += int(k)
             elif factor != 1:
-                raise TypeError(
-                    f"coefficient {value} is not a Laurent polynomial"
-                    " in (i, hbar, t, alpha, exp(alpha))"
-                )
+                raise _not_laurent(value)
+        if not isinstance(num, sp.Rational):  # oo, -oo or nan
+            raise _not_laurent(value)
         out = _cadd(out, {tuple(key): _rational(num)})
     return out
 

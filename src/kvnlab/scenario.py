@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import json
 
-import jsonschema
-
 from .errors import ScenarioError
 
 SUITES = (
@@ -107,6 +105,8 @@ def validate_scenario(obj) -> dict:
     The schema cannot say that a number is finite (json.load accepts NaN
     and Infinity) or that a grid count is a power of two, which the
     split-step grids need; both are checked here, before any check runs."""
+    import jsonschema  # only validation needs it, not `kvnlab schema`
+
     try:
         jsonschema.validate(obj, SCHEMA)
     except jsonschema.ValidationError as exc:

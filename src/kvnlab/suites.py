@@ -12,6 +12,7 @@ two-line scenario gets meaningful coverage out of the box.
 
 from __future__ import annotations
 
+import importlib
 import math
 import os
 import zlib
@@ -19,18 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy as sp
 
-from . import opalg, qgrid
-from .charges import (
-    epb,
-    liouvillian_field,
-    liouvillian_value,
-    lms_charge,
-    lms_charge0_field,
-    lms_charge_harmonic,
-    virasoro_charge,
-)
 from .core import (
     ExtendedPoint,
     MonomialPotential,
@@ -38,22 +28,7 @@ from .core import (
     lms_params_from_alpha,
     lms_params_from_beta,
 )
-from .dynamics import characteristic_time, energy, integrate
 from .report import CheckRecord, _plain, digest, write_csv
-from .semiclassics import (
-    bohr_levels,
-    eigensolve_newton_equiv,
-    ground_width,
-    lms_bohr_violation,
-    newton_equiv_trajectory_check,
-)
-from .symmetry import (
-    action_kvn,
-    bracket_change,
-    check_action_scaling,
-    lms_jacobian,
-    lms_map_trajectory,
-)
 
 #: exponent -> (coupling, initial extended point) with decent energy and a
 #: horizon long enough for twenty characteristic periods.
@@ -133,6 +108,8 @@ class SuiteContext:
 
     def trajectory(self, pot: MonomialPotential, x0: ExtendedPoint, periods: float):
         """Integrate ``periods`` characteristic periods, memoized."""
+        from .dynamics import characteristic_time, integrate
+
         key = (pot.g, pot.n, x0.q, x0.p, x0.lq, x0.lp, periods)
         if key not in self._traj_cache:
             tchar = characteristic_time(pot, x0)
@@ -174,6 +151,8 @@ def _drift(values: np.ndarray) -> float:
 
 
 def _ext_flow(x0: ExtendedPoint, pot: MonomialPotential, t: float) -> ExtendedPoint:
+    from .dynamics import integrate
+
     return integrate(x0, pot, t, abs(t)).final
 
 
@@ -181,6 +160,8 @@ def _ext_flow(x0: ExtendedPoint, pot: MonomialPotential, t: float) -> ExtendedPo
 # dynamics
 
 def suite_dynamics(ctx: SuiteContext):
+    from .dynamics import energy, integrate
+
     pot = ctx.potential
 
     harm = MonomialPotential(1.0, 2.0)
@@ -242,6 +223,15 @@ def suite_dynamics(ctx: SuiteContext):
 # charges
 
 def suite_charges(ctx: SuiteContext):
+    from .charges import (
+        epb,
+        liouvillian_field,
+        liouvillian_value,
+        lms_charge,
+        lms_charge0_field,
+        lms_charge_harmonic,
+    )
+
     tol = ctx.tol("charge_drift")
     for n in ctx.exponents(SWEEP_EXPONENTS):
         if n == 2.0:
@@ -306,6 +296,15 @@ def suite_charges(ctx: SuiteContext):
 # classical similarity maps
 
 def suite_lms_classical(ctx: SuiteContext):
+    from .dynamics import integrate
+    from .symmetry import (
+        action_kvn,
+        bracket_change,
+        check_action_scaling,
+        lms_jacobian,
+        lms_map_trajectory,
+    )
+
     for n in ctx.exponents(SWEEP_EXPONENTS):
         if n == 2.0:
             continue
@@ -394,6 +393,8 @@ def suite_lms_classical(ctx: SuiteContext):
 # conserved tower
 
 def suite_lms_virasoro(ctx: SuiteContext):
+    from .charges import liouvillian_value, lms_charge, virasoro_charge
+
     tol = ctx.tol("tower_drift")
     for n in ctx.exponents(SWEEP_EXPONENTS):
         if n == 2.0:
@@ -439,6 +440,10 @@ def _all_flags(out, flags):
 
 
 def suite_opalg(ctx: SuiteContext):
+    import sympy as sp
+
+    from . import opalg
+
     Q, P, Qbar, Pbar = opalg.bopp_operators()
     i_hb = opalg.OperatorPoly.scalar(opalg.KVN, sp.I * opalg.hbar)
 
@@ -524,6 +529,8 @@ def suite_opalg(ctx: SuiteContext):
 # grid evolution
 
 def _grid_potential(ctx) -> MonomialPotential:
+    from . import qgrid
+
     pot = ctx.potential
     if float(pot.n) in {float(v) for v in qgrid.GRID_EXPONENTS} and pot.g > 0:
         return pot
@@ -531,6 +538,8 @@ def _grid_potential(ctx) -> MonomialPotential:
 
 
 def _grid_state(ctx):
+    from . import qgrid
+
     grid = ctx.scenario["grid"]
     ax = qgrid.GridAxis(0.0, grid["extent"], grid["count"])
     return qgrid.make_separable(
@@ -541,6 +550,8 @@ def _grid_state(ctx):
 
 
 def suite_quantum_leak(ctx: SuiteContext):
+    from . import qgrid
+
     pot = _grid_potential(ctx)
     grid = ctx.scenario["grid"]
     # The input state of all three checks and of schmidt_vs_alpha.csv.
@@ -587,6 +598,8 @@ def suite_quantum_leak(ctx: SuiteContext):
 # quantized actions
 
 def suite_bohr(ctx: SuiteContext):
+    from .semiclassics import bohr_levels, lms_bohr_violation
+
     hbar = ctx.scenario["grid"]["hbar"]
     tol = ctx.tol("bohr_levels")
 
@@ -633,6 +646,12 @@ def suite_bohr(ctx: SuiteContext):
 # rescaled-mass family
 
 def suite_newton_equiv(ctx: SuiteContext):
+    from .semiclassics import (
+        eigensolve_newton_equiv,
+        ground_width,
+        newton_equiv_trajectory_check,
+    )
+
     pot = ctx.potential
     tol = ctx.tol("trajectory_match")
     x0 = PhasePoint(1.0, 0.3)
@@ -691,8 +710,37 @@ SUITE_FUNCS = {
 }
 
 
+#: Suite -> the kvnlab modules its checks call. Each suite body imports
+#: the names it uses, so a run loads scipy or sympy only when its suite
+#: needs them.
+SUITE_MODULES = {
+    "dynamics": ("dynamics",),
+    "charges": ("charges", "dynamics"),
+    "lms-classical": ("dynamics", "symmetry"),
+    "lms-virasoro": ("charges", "dynamics"),
+    "opalg": ("opalg",),
+    "quantum-leak": ("qgrid",),
+    "bohr": ("semiclassics",),
+    "newton-equiv": ("semiclassics",),
+}
+
+
+def _selected(suite: str):
+    return list(SUITE_FUNCS) if suite == "all" else [suite]
+
+
+def import_suite_modules(suite: str):
+    """Import the modules ``suite`` (or, for ``all``, every suite) calls.
+
+    The runner calls this before :func:`run_checks`, so their imports
+    are not timed as part of the run."""
+    for name in _selected(suite):
+        for module in SUITE_MODULES[name]:
+            importlib.import_module(f"{__package__}.{module}")
+
+
 def run_checks(ctx: SuiteContext, suite: str):
     """Run one suite (or all of them) and return the records sorted by id."""
-    for name in list(SUITE_FUNCS) if suite == "all" else [suite]:
+    for name in _selected(suite):
         SUITE_FUNCS[name](ctx)
     return sorted(ctx.records, key=lambda r: r.check_id)

@@ -1,0 +1,122 @@
+"""What importing kvnlab and running a suite load, each in a fresh interpreter.
+
+``import kvnlab`` is lazy: the package imports a submodule when one of its
+public names is first used. The command line loads the modules of the
+selected suite before it starts the run, so no import lands inside the
+timed ``run_checks`` call.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import kvnlab
+from kvnlab.scenario import SUITES
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(kvnlab.__file__)))
+
+#: Runs kvnlab with ``cli.run_checks`` wrapped and prints, as JSON, the exit
+#: code, the modules first imported inside the run and whether scipy and
+#: sympy were loaded.
+GUARD = """
+import io, json, sys
+from contextlib import redirect_stdout
+from kvnlab import cli
+
+suite, scenario, out = sys.argv[1:]
+run, inside = cli.run_checks, []
+
+def guarded(*args, **kwargs):
+    before = set(sys.modules)
+    try:
+        return run(*args, **kwargs)
+    finally:
+        inside.extend(sorted(set(sys.modules) - before))
+
+cli.run_checks = guarded
+with redirect_stdout(io.StringIO()):
+    code = cli.main(["run", scenario, "--suite", suite, "--out", out])
+print(json.dumps({"exit": code, "inside": inside,
+                  "scipy": "scipy" in sys.modules, "sympy": "sympy" in sys.modules}))
+"""
+
+#: Reports which libraries a bare ``import kvnlab`` loads, then which ones
+#: ``kvnlab schema`` loads.
+SCHEMA = """
+import io, json, sys
+from contextlib import redirect_stdout
+
+def loaded():
+    return sorted({"numpy", "scipy", "sympy", "jsonschema"} & set(sys.modules))
+
+import kvnlab
+bare = loaded()
+from kvnlab import cli
+with redirect_stdout(io.StringIO()):
+    code = cli.main(["schema"])
+print(json.dumps({"bare": bare, "exit": code, "schema": loaded()}))
+"""
+
+
+def run_child(code, *args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, cwd=cwd, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestLazyPackage:
+    def test_public_names_are_the_submodule_objects(self):
+        for name in kvnlab.__all__:
+            source = importlib.import_module(f"kvnlab.{kvnlab._SOURCE[name]}")
+            obj = getattr(kvnlab, name)
+            if name == kvnlab._SOURCE[name]:
+                assert obj is source
+                continue
+            assert obj is getattr(source, name)
+            # the table names the defining module, not one that re-exports
+            assert getattr(obj, "__module__", source.__name__) == source.__name__
+
+    def test_dir_lists_every_public_name(self):
+        assert set(kvnlab.__all__) <= set(dir(kvnlab))
+        assert "__version__" in dir(kvnlab)
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from kvnlab import *", namespace)
+        for name in kvnlab.__all__:
+            assert namespace[name] is getattr(kvnlab, name)
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            kvnlab.no_such_name  # noqa: B018
+
+
+def test_import_and_schema_load_no_science_library(tmp_path):
+    got = run_child(SCHEMA, cwd=tmp_path)
+    assert got["bare"] == []
+    assert got["exit"] == 0
+    assert got["schema"] == []
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_run_imports_nothing_inside_the_run(tmp_path, suite):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"suite": "all", "potential": {"g": 1.0, "n": 4.0}}))
+    got = run_child(GUARD, suite, str(scenario), str(tmp_path / "out"), cwd=tmp_path)
+    assert got["exit"] == 0
+    # sympy imports a few of its own submodules on first use
+    # (sympy.combinatorics, sympy.tensor); nothing else may load in the run
+    assert [m for m in got["inside"] if not m.startswith("sympy.")] == []
+    assert got["scipy"] == (suite != "opalg")
+    assert got["sympy"] == (suite in ("opalg", "all"))
+    if suite == "quantum-leak":
+        assert got["inside"] == []

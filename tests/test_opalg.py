@@ -142,7 +142,8 @@ class TestCoefficientBoundary:
         # cosh(alpha) and its exponential form land on the same exp(+-alpha) keys
         exp_form = (sp.exp(alpha_sym) + sp.exp(-alpha_sym)) / 2
         assert q_op().scale(sp.cosh(alpha_sym)).terms == q_op().scale(exp_form).terms
-        for outside in (sp.exp(hbar), sp.sqrt(2), sp.pi, sp.exp(alpha_sym / 3)):
+        for outside in (sp.exp(hbar), sp.sqrt(2), sp.pi, sp.exp(alpha_sym / 3),
+                        sp.oo, -sp.oo, sp.nan):
             with pytest.raises(TypeError, match="Laurent"):
                 OperatorPoly.scalar(KVN, outside)
 
