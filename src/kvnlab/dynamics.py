@@ -129,8 +129,12 @@ def guarded_solve(rhs, y0, T, pot, t_eval=None, events=(), npos=1,
 
 
 def sample_times(T: float, dt: float) -> np.ndarray:
-    """Uniform output grid from 0 to T inclusive with spacing about dt."""
-    n = max(int(math.ceil(abs(T) / dt)), 1)
+    """Uniform output grid from 0 to T inclusive with spacing about dt.
+
+    The grid has ceil(|T|/dt) intervals, and a dt that divides T up to
+    roundoff gives exactly T/dt of them: T/(T/N) may round to N + 2e-16,
+    which must not buy a stray sample."""
+    n = max(int(math.ceil(abs(T) / dt * (1.0 - 1e-12))), 1)
     return np.linspace(0.0, T, n + 1)
 
 

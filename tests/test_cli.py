@@ -298,3 +298,17 @@ class TestCheckExecutor:
         assert sorted(errors) == ["dyn-energy-drift", "dyn-tangent-pairing"]
         assert all(m.startswith("StepFailure: ") for m in errors.values())
         assert others == {"dyn-flow-composition": "pass", "dyn-harmonic-return": "pass"}
+
+
+class TestSolutionMapGrid:
+    def test_steep_well_maps_onto_a_solution(self, tmp_path, capsys):
+        # The mapped and reintegrated grids must share their samples: one
+        # stray sample would make the gap measure interpolation error.
+        body = {"suite": "lms-classical", "potential": {"g": 2.0, "n": 6.0},
+                "exponents": [2, 4, 6, -2, 3], "lms": {"beta": 0.2}}
+        sc = write_scenario(tmp_path, body)
+        run_main(["run", str(sc), "--out", str(tmp_path / "rep")], capsys)
+        rep = json.loads((tmp_path / "rep" / "report.json").read_text())
+        check = next(c for c in rep["checks"] if c["id"] == "sym-solution-map-n6")
+        assert check["verdict"] == "pass", check["measured"]
+        assert check["measured"]["normalized_gap"] < 1e-9

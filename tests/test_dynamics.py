@@ -43,6 +43,16 @@ def test_sample_times_includes_endpoints():
     assert np.all(np.diff(ts) > 0)
 
 
+@pytest.mark.parametrize("intervals", [1, 7, 299, 2000])
+def test_sample_times_gives_the_asked_interval_count(intervals):
+    # T / (T / N) often rounds to N + 2e-16; that must not add a sample
+    for T in np.linspace(0.1, 200.0, 2001):
+        for horizon in (T, -T):
+            ts = sample_times(horizon, T / intervals)
+            assert len(ts) == intervals + 1, (horizon, intervals)
+            assert ts[-1] == horizon
+
+
 class TestIntegrate:
     def test_harmonic_closed_form(self):
         # (q, p) rotates; the auxiliary pair obeys the same linear system
