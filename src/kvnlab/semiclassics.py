@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -38,29 +39,39 @@ def _bound_orbit_exponent(pot: MonomialPotential) -> int:
     )
 
 
+def _solve_increasing(f, target: float, rtol: float, what: str) -> float:
+    """Root of f(x) = target for f increasing on x >= 0, by bisection.
+
+    hi doubles from 1 until f(hi) > target; then [0, hi] is halved until
+    its width is at most rtol * max(1, hi), and the midpoint is returned."""
+    hi = 1.0
+    for _ in range(600):
+        if f(hi) > target:
+            break
+        hi *= 2.0
+    else:
+        raise RangeExhausted(f"could not bracket {what}")
+    lo = 0.0
+    while hi - lo > rtol * max(1.0, hi):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > target:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 def turning_points(pot: MonomialPotential, E: float) -> tuple[float, float]:
     """Turning pair (q-, q+) with V(q+-) = E, found by bisection.
 
     Defined for confining even monomials (g > 0, even integer n >= 2),
     where the well is symmetric and q- = -q+."""
     _bound_orbit_exponent(pot)
+    if not math.isfinite(E):
+        raise NoBoundOrbit(f"E={E!r} is not a finite energy")
     if E <= 0:
         raise NoBoundOrbit(f"E={E!r} is below the well minimum V(0) = 0")
-    hi = 1.0
-    for _ in range(600):
-        if pot.value(hi) > E:
-            break
-        hi *= 2.0
-    else:
-        raise RangeExhausted("could not bracket the turning point")
-    lo = 0.0
-    while hi - lo > TURNING_TOL * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if pot.value(mid) > E:
-            hi = mid
-        else:
-            lo = mid
-    qp = 0.5 * (lo + hi)
+    qp = _solve_increasing(pot.value, E, TURNING_TOL, "the turning point")
     return -qp, qp
 
 
@@ -89,28 +100,13 @@ def bohr_levels(pot: MonomialPotential, hbar: float, count: int) -> np.ndarray:
     """Lowest `count` energies solving J(E) = (k + 1/2) * 2 pi hbar."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    levels = np.empty(count)
-    for k in range(count):
-        target = (k + 0.5) * 2.0 * math.pi * hbar
-        lo, hi = 0.0, 1.0
-        for _ in range(600):
-            if action_integral(pot, hi) > target:
-                break
-            hi *= 2.0
-        else:
-            raise RangeExhausted("could not bracket the quantized energy")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if action_integral(pot, mid) > target:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-13 * max(1.0, hi):
-                break
-        else:
-            raise ConvergenceFailure("level bisection stalled")
-        levels[k] = 0.5 * (lo + hi)
-    return levels
+    if not (math.isfinite(hbar) and hbar > 0):
+        raise ValueError(f"hbar must be finite and positive, got {hbar!r}")
+    action = partial(action_integral, pot)
+    return np.array([
+        _solve_increasing(action, (k + 0.5) * 2.0 * math.pi * hbar, 1e-13, "the quantized energy")
+        for k in range(count)
+    ])
 
 
 @dataclass(frozen=True)

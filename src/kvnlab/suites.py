@@ -48,30 +48,28 @@ GAMMA_SWEEP = (0.5, 2.0, 10.0)
 _GENERIC_IC = (1.0, 0.05, 0.3, -0.2)
 
 
-def _fixture_for(n: float, fallback_g: float):
-    key = float(n)
-    if key in FIXTURES:
-        g, ic = FIXTURES[key]
-        return g, ExtendedPoint(*ic)
-    return fallback_g, ExtendedPoint(*_GENERIC_IC)
+def _start(pot: MonomialPotential) -> ExtendedPoint:
+    """Initial point for ``pot``: the fixture's when the table lists the
+    exponent with a coupling of the same sign, else a near-turning generic
+    start."""
+    g, ic = FIXTURES.get(float(pot.n), (pot.g, _GENERIC_IC))
+    return ExtendedPoint(*(ic if (g > 0) == (pot.g > 0) else _GENERIC_IC))
 
 
-def _ic_for(pot: MonomialPotential) -> ExtendedPoint:
-    """Initial point for a user-supplied potential.
-
-    The fixture table applies only when both the exponent and the coupling
-    sign match; otherwise fall back to a near-turning generic start.
-    """
-    key = float(pot.n)
-    if key in FIXTURES and math.copysign(1.0, pot.g) == math.copysign(1.0, FIXTURES[key][0]):
-        return ExtendedPoint(*FIXTURES[key][1])
-    return ExtendedPoint(*_GENERIC_IC)
+def _sweep(ctx):
+    """(potential, start) per swept exponent: the fixture coupling, else the
+    scenario's. n = 2 is skipped; its harmonic checks stand apart."""
+    for n in ctx.exponents(SWEEP_EXPONENTS):
+        if n != 2.0:
+            pot = MonomialPotential(FIXTURES.get(n, (ctx.potential.g,))[0], n)
+            yield pot, _start(pot)
 
 
 @dataclass
 class CheckOutcome:
     """What a check body measured, and whether its claim held."""
 
+    tolerance: float
     measured: dict = field(default_factory=dict)
     passed: bool = False
 
@@ -85,6 +83,7 @@ class SuiteContext:
     seed: int
     records: list = field(default_factory=list)
     _traj_cache: dict = field(default_factory=dict)
+    _period_cache: dict = field(default_factory=dict)
 
     @property
     def potential(self) -> MonomialPotential:
@@ -110,10 +109,12 @@ class SuiteContext:
         """Integrate ``periods`` characteristic periods, memoized."""
         from .dynamics import characteristic_time, integrate
 
-        key = (pot.g, pot.n, x0.q, x0.p, x0.lq, x0.lp, periods)
+        orbit = (pot.g, pot.n, x0.q, x0.p, x0.lq, x0.lp)
+        key = (*orbit, periods)
         if key not in self._traj_cache:
-            tchar = characteristic_time(pot, x0)
-            horizon = periods * tchar
+            if orbit not in self._period_cache:
+                self._period_cache[orbit] = characteristic_time(pot, x0)
+            horizon = periods * self._period_cache[orbit]
             self._traj_cache[key] = integrate(x0, pot, horizon, horizon / 2000)
         return self._traj_cache[key]
 
@@ -124,11 +125,12 @@ class SuiteContext:
     def check(self, check_id: str, anchor: str, inputs, tolerance: float):
         """Run one check's body and append its record to ``records``.
 
-        The body sets ``out.measured`` and ``out.passed``. If it raises, the
+        The body compares against ``out.tolerance``, the value recorded,
+        and sets ``out.measured`` and ``out.passed``. If it raises, the
         record gets the verdict ``error`` and ``measured`` holds the
         exception's class and message; the exception goes no further.
         """
-        out = CheckOutcome()
+        out = CheckOutcome(float(tolerance))
         try:
             yield out
         except Exception as exc:  # noqa: BLE001  a raising check is an error verdict
@@ -140,7 +142,7 @@ class SuiteContext:
             anchor=anchor,
             inputs_digest=digest(_plain(inputs)),
             measured=_plain(measured),
-            tolerance=float(tolerance),
+            tolerance=out.tolerance,
             verdict=verdict,
         ))
 
@@ -173,16 +175,16 @@ def suite_dynamics(ctx: SuiteContext):
     ) as out:
         xT = _ext_flow(x0, harm, period)
         ret = float(np.max(np.abs(xT.as_array() - x0.as_array())))
-        out.measured, out.passed = {"return_gap": ret}, ret < 1e-8
+        out.measured, out.passed = {"return_gap": ret}, ret < out.tolerance
 
-    xf = _ic_for(pot)
+    xf = _start(pot)
     with ctx.check(
         "dyn-energy-drift", "energy-conservation",
         {"potential": {"g": pot.g, "n": pot.n}, "x0": list(xf.as_array())}, 1e-8,
     ) as out:
         traj = ctx.trajectory(pot, xf, 10.0)
         edrift = _drift(energy(ExtendedPoint(*traj.states.T), pot))
-        out.measured, out.passed = {"relative_drift": edrift}, edrift < 1e-8
+        out.measured, out.passed = {"relative_drift": edrift}, edrift < out.tolerance
 
     t1, t2 = 0.3, 0.5
     with ctx.check(
@@ -192,7 +194,7 @@ def suite_dynamics(ctx: SuiteContext):
         a = _ext_flow(_ext_flow(xf, pot, t1), pot, t2)
         b = _ext_flow(xf, pot, t1 + t2)
         comp = float(np.max(np.abs(a.as_array() - b.as_array())))
-        out.measured, out.passed = {"composition_gap": comp}, comp < 1e-9
+        out.measured, out.passed = {"composition_gap": comp}, comp < out.tolerance
 
     # Pair the auxiliary sector with a finite-difference tangent vector of
     # the (q, p) flow; the pairing must ride along unchanged.
@@ -216,7 +218,7 @@ def suite_dynamics(ctx: SuiteContext):
         dphi = (plus.states[:, :2] - minus.states[:, :2]) / (2.0 * eps)
         pairing = traj.states[:, 2] * dphi[:, 0] + traj.states[:, 3] * dphi[:, 1]
         drift = _drift(pairing)
-        out.measured, out.passed = {"pairing_drift": drift}, drift < 1e-5
+        out.measured, out.passed = {"pairing_drift": drift}, drift < out.tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +235,11 @@ def suite_charges(ctx: SuiteContext):
     )
 
     tol = ctx.tol("charge_drift")
-    for n in ctx.exponents(SWEEP_EXPONENTS):
-        if n == 2.0:
-            continue
-        g, x0 = _fixture_for(n, ctx.potential.g)
-        pot = MonomialPotential(g, n)
+    for pot, x0 in _sweep(ctx):
+        n = pot.n
         with ctx.check(
             f"chg-conserve-n{n:g}", "similarity-charge-conserved",
-            {"potential": {"g": g, "n": n}, "x0": list(x0.as_array()), "periods": 20.0},
+            {"potential": {"g": pot.g, "n": n}, "x0": list(x0.as_array()), "periods": 20.0},
             tol,
         ) as out:
             traj = ctx.trajectory(pot, x0, 20.0)
@@ -249,7 +248,7 @@ def suite_charges(ctx: SuiteContext):
             hvals = liouvillian_value(samples, pot)
             drift = _drift(dvals)
             out.measured = {"charge_drift": drift, "initial_charge": float(dvals[0])}
-            out.passed = drift < tol
+            out.passed = drift < out.tolerance
             step = max(1, len(traj.times) // 200)
             ctx.emit_csv(
                 f"charges_n{n:g}.csv",
@@ -276,20 +275,20 @@ def suite_charges(ctx: SuiteContext):
                 lhs = epb(hf, df, x)
                 rhs = liouvillian_value(x, pot)
                 worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
-            out.measured, out.passed = {"max_relative_gap": worst}, worst < 1e-12
+            out.measured, out.passed = {"max_relative_gap": worst}, worst < out.tolerance
 
     harm = MonomialPotential(1.0, 2.0)
-    g, x0 = FIXTURES[2.0][0], ExtendedPoint(*FIXTURES[2.0][1])
+    x0 = _start(harm)
     with ctx.check(
         "chg-harmonic-variant", "harmonic-charge-conserved",
-        {"potential": {"g": g, "n": 2.0}, "x0": list(x0.as_array()), "periods": 20.0},
+        {"potential": {"g": harm.g, "n": 2.0}, "x0": list(x0.as_array()), "periods": 20.0},
         tol,
     ) as out:
         traj = ctx.trajectory(harm, x0, 20.0)
         vals = lms_charge_harmonic(ExtendedPoint(*traj.states.T))
         drift = _drift(vals)
         out.measured = {"charge_drift": drift, "initial_charge": float(vals[0])}
-        out.passed = drift < tol
+        out.passed = drift < out.tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -305,18 +304,14 @@ def suite_lms_classical(ctx: SuiteContext):
         lms_map_trajectory,
     )
 
-    for n in ctx.exponents(SWEEP_EXPONENTS):
-        if n == 2.0:
-            continue
-        g, x0 = _fixture_for(n, ctx.potential.g)
-        pot = MonomialPotential(g, n)
+    for pot, x0 in _sweep(ctx):
+        n = pot.n
         prm = ctx.lms_for(n)
-        mapped_inputs = {"potential": {"g": g, "n": n}, "alpha": prm.alpha}
+        mapped_inputs = {"potential": {"g": pot.g, "n": n}, "alpha": prm.alpha}
 
-        tol = ctx.tol("solution_map")
         with ctx.check(
             f"sym-solution-map-n{n:g}", "solution-mapping",
-            {**mapped_inputs, "x0": list(x0.as_array())}, tol,
+            {**mapped_inputs, "x0": list(x0.as_array())}, ctx.tol("solution_map"),
         ) as out:
             traj = ctx.trajectory(pot, x0, 2.0)
             mapped = lms_map_trajectory(traj, prm)
@@ -327,18 +322,18 @@ def suite_lms_classical(ctx: SuiteContext):
             ], axis=1)
             scale = 1.0 + float(np.max(np.abs(mapped.states)))
             gap = float(np.max(np.abs(resampled - mapped.states))) / scale
-            out.measured, out.passed = {"normalized_gap": gap}, gap < tol
+            out.measured, out.passed = {"normalized_gap": gap}, gap < out.tolerance
 
-        tol = ctx.tol("action_exponent")
         with ctx.check(
-            f"sym-action-exponent-n{n:g}", "action-rescale", mapped_inputs, tol,
+            f"sym-action-exponent-n{n:g}", "action-rescale", mapped_inputs,
+            ctx.tol("action_exponent"),
         ) as out:
             scaling = check_action_scaling(ctx.trajectory(pot, x0, 1.3), pot, prm)
             dev = abs(scaling.measured_exponent - scaling.expected_exponent)
             out.measured = {"measured_exponent": scaling.measured_exponent,
                             "expected_exponent": scaling.expected_exponent,
                             "action": scaling.s_original}
-            out.passed = dev < tol
+            out.passed = dev < out.tolerance
 
         with ctx.check(
             f"sym-aux-action-n{n:g}", "auxiliary-action-invariant", mapped_inputs, 1e-6,
@@ -348,7 +343,7 @@ def suite_lms_classical(ctx: SuiteContext):
             s1 = action_kvn(lms_map_trajectory(traj, prm), pot)
             gap = abs(s1 - s0) / (1.0 + abs(s0))
             out.measured = {"original": s0, "mapped": s1, "relative_gap": gap}
-            out.passed = gap < 1e-6
+            out.passed = gap < out.tolerance
 
         # Small-parameter probe of the two bracket factors via the exact
         # Jacobian of the point map.
@@ -386,7 +381,7 @@ def suite_lms_classical(ctx: SuiteContext):
             lag_m = 0.5 * pm**2 - pot.value(qm)
             expected = prm.alpha**n * lag
             dev = float(np.max(np.abs(lag_m - expected)) / (1.0 + np.max(np.abs(expected))))
-            out.measured, out.passed = {"normalized_dev": dev}, dev < 1e-10
+            out.measured, out.passed = {"normalized_dev": dev}, dev < out.tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -395,17 +390,13 @@ def suite_lms_classical(ctx: SuiteContext):
 def suite_lms_virasoro(ctx: SuiteContext):
     from .charges import liouvillian_value, lms_charge, virasoro_charge
 
-    tol = ctx.tol("tower_drift")
-    for n in ctx.exponents(SWEEP_EXPONENTS):
-        if n == 2.0:
-            continue
-        g, x0 = _fixture_for(n, ctx.potential.g)
-        pot = MonomialPotential(g, n)
+    for pot, x0 in _sweep(ctx):
+        n = pot.n
         with ctx.check(
             f"vir-tower-n{n:g}", "charge-tower",
-            {"potential": {"g": g, "n": n}, "x0": list(x0.as_array()),
+            {"potential": {"g": pot.g, "n": n}, "x0": list(x0.as_array()),
              "orders": [-1, 0, 1, 2], "periods": 20.0},
-            tol,
+            ctx.tol("tower_drift"),
         ) as out:
             traj = ctx.trajectory(pot, x0, 20.0)
             samples = ExtendedPoint(*traj.states.T)
@@ -413,23 +404,24 @@ def suite_lms_virasoro(ctx: SuiteContext):
                 f"m{m}": _drift(virasoro_charge(samples, pot, traj.times, m))
                 for m in (-1, 0, 1, 2)
             }
-            out.passed = max(out.measured.values()) < tol
+            out.passed = max(out.measured.values()) < out.tolerance
 
         check_id = f"vir-endpoints-n{n:g}"
         with ctx.check(
-            check_id, "tower-endpoints", {"potential": {"g": g, "n": n}, "samples": 50}, 1e-12,
+            check_id, "tower-endpoints", {"potential": {"g": pot.g, "n": n}, "samples": 50},
+            1e-12,
         ) as out:
-            rng = ctx.rng(check_id)
-            worst = 0.0
-            for _ in range(50):
-                x = ExtendedPoint(*rng.uniform(0.4, 1.6, size=4))
-                t = float(rng.uniform(-2.0, 2.0))
-                h = liouvillian_value(x, pot)
-                d = lms_charge(x, pot, t)
-                dev1 = abs(virasoro_charge(x, pot, t, -1) - h) / (1.0 + abs(h))
-                dev2 = abs(virasoro_charge(x, pot, t, 0) - d) / (1.0 + abs(d))
-                worst = max(worst, dev1, dev2)
-            out.measured, out.passed = {"max_relative_gap": worst}, worst <= 1e-12
+            # Fifty draws of (q, p, lq, lp, t), the stream of 4 + 1 per sample.
+            draws = ctx.rng(check_id).uniform([0.4] * 4 + [-2.0], [1.6] * 4 + [2.0],
+                                              size=(50, 5))
+            x, t = ExtendedPoint(*draws[:, :4].T), draws[:, 4]
+            h = liouvillian_value(x, pot)
+            d = lms_charge(x, pot, t)
+            worst = float(max(
+                np.max(np.abs(virasoro_charge(x, pot, t, -1) - h) / (1.0 + np.abs(h))),
+                np.max(np.abs(virasoro_charge(x, pot, t, 0) - d) / (1.0 + np.abs(d))),
+            ))
+            out.measured, out.passed = {"max_relative_gap": worst}, worst <= out.tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -564,24 +556,23 @@ def suite_quantum_leak(ctx: SuiteContext):
     ) as out:
         evolved = qgrid.evolve_G(state, pot, 2.0, steps=400)
         norm_dev = abs(evolved.norm() - 1.0)
-        out.measured, out.passed = {"norm_deviation": norm_dev}, norm_dev < 1e-10
+        out.measured, out.passed = {"norm_deviation": norm_dev}, norm_dev < out.tolerance
 
-    tol_sep = ctx.tol("schmidt_separable")
     with ctx.check(
         "qg-separability", "product-states-preserved",
-        {"potential": {"g": pot.g, "n": pot.n}, "grid": grid, "t": 5.0}, tol_sep,
+        {"potential": {"g": pot.g, "n": pot.n}, "grid": grid, "t": 5.0},
+        ctx.tol("schmidt_separable"),
     ) as out:
         longrun = qgrid.evolve_G(state, pot, 5.0, steps=600)
         sep_ratio = qgrid.schmidt(longrun).ratio
-        out.measured, out.passed = {"schmidt_ratio": sep_ratio}, sep_ratio < tol_sep
+        out.measured, out.passed = {"schmidt_ratio": sep_ratio}, sep_ratio < out.tolerance
 
-    tol_mix = ctx.tol("schmidt_mixed")
     with ctx.check(
         "qg-lms-entangles", "similarity-breaks-products",
-        {"grid": grid, "alpha": 0.5}, tol_mix,
+        {"grid": grid, "alpha": 0.5}, ctx.tol("schmidt_mixed"),
     ) as out:
         mixed = qgrid.schmidt(qgrid.apply_lms_unitary_harmonic(state, 0.5))
-        out.measured, out.passed = {"schmidt_ratio": mixed.ratio}, mixed.ratio > tol_mix
+        out.measured, out.passed = {"schmidt_ratio": mixed.ratio}, mixed.ratio > out.tolerance
         rows = []
         for alpha in (0.1, 0.2, 0.3, 0.4, 0.5):
             if alpha == 0.5:
@@ -601,17 +592,16 @@ def suite_bohr(ctx: SuiteContext):
     from .semiclassics import bohr_levels, lms_bohr_violation
 
     hbar = ctx.scenario["grid"]["hbar"]
-    tol = ctx.tol("bohr_levels")
 
     with ctx.check(
         "bohr-harmonic-levels", "half-integer-levels",
-        {"potential": {"g": 1.0, "n": 2.0}, "hbar": hbar, "count": 6}, tol,
+        {"potential": {"g": 1.0, "n": 2.0}, "hbar": hbar, "count": 6}, ctx.tol("bohr_levels"),
     ) as out:
         levels = bohr_levels(MonomialPotential(1.0, 2.0), hbar, 6)
         targets = (np.arange(6) + 0.5) * hbar
         dev = float(np.max(np.abs(levels - targets))) / hbar
         out.measured = {"max_level_dev": dev, "levels": [float(v) for v in levels]}
-        out.passed = dev < tol
+        out.passed = dev < out.tolerance
 
     sweep = [n for n in ctx.exponents(BOHR_SWEEP)
              if n >= 2 and float(n).is_integer() and int(n) % 2 == 0]
@@ -629,7 +619,7 @@ def suite_bohr(ctx: SuiteContext):
             rel = abs(rep.delta_j - rep.delta_j_closed_form) / (1.0 + abs(rep.delta_j))
             out.measured = {"delta_j": rep.delta_j, "closed_form": rep.delta_j_closed_form,
                             "level_mismatch": rep.level_mismatch, "relative_gap": rel}
-            out.passed = rel < 1e-6
+            out.passed = rel < out.tolerance
 
     prm = ctx.lms_for(-2.0)
     with ctx.check(
@@ -653,20 +643,19 @@ def suite_newton_equiv(ctx: SuiteContext):
     )
 
     pot = ctx.potential
-    tol = ctx.tol("trajectory_match")
     x0 = PhasePoint(1.0, 0.3)
     for gamma in GAMMA_SWEEP:
         with ctx.check(
             f"ne-orbit-gamma{gamma:g}", "same-orbits",
             {"potential": {"g": pot.g, "n": pot.n}, "gamma": gamma,
              "x0": [x0.q, x0.p], "horizon": 10.0},
-            tol,
+            ctx.tol("trajectory_match"),
         ) as out:
             rep = newton_equiv_trajectory_check(pot, gamma, x0, 10.0)
             out.measured = {"max_q_diff": rep.max_q_diff,
                             "max_p_scaled_diff": rep.max_p_scaled_diff,
                             "energy_relation_dev": rep.max_energy_relation_dev}
-            out.passed = rep.max_q_diff < tol and rep.max_energy_relation_dev < 1e-9
+            out.passed = rep.max_q_diff < out.tolerance and rep.max_energy_relation_dev < 1e-9
 
     harm = MonomialPotential(1.0, 2.0)
     with ctx.check(
@@ -682,12 +671,11 @@ def suite_newton_equiv(ctx: SuiteContext):
         out.passed = dev < 1e-6 and abs(width_ratio - 8.0**-0.5) < 1e-12
 
     quart = MonomialPotential(1.0, 4.0)
-    tol_s = ctx.tol("spectrum_scaling")
     with ctx.check(
         "ne-quartic-scaling", "spectra-rescale",
         {"potential": {"g": 1.0, "n": 4.0}, "gammas": list(GAMMA_SWEEP),
          "expected_power": -1.0 / 3.0},
-        tol_s,
+        ctx.tol("spectrum_scaling"),
     ) as out:
         base = eigensolve_newton_equiv(quart, 1.0, 1.0, 6)
         for gamma in GAMMA_SWEEP:
@@ -695,7 +683,7 @@ def suite_newton_equiv(ctx: SuiteContext):
             ratios = res.energies / base.energies
             out.measured[f"gamma{gamma:g}"] = float(
                 np.max(np.abs(ratios - gamma ** (-1.0 / 3.0))))
-        out.passed = max(out.measured.values()) < tol_s
+        out.passed = max(out.measured.values()) < out.tolerance
 
 
 SUITE_FUNCS = {

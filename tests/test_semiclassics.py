@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import beta
 
-from kvnlab.core import MonomialPotential, PhasePoint, lms_params_from_alpha
+from kvnlab.core import ExtendedPoint, MonomialPotential, PhasePoint, lms_params_from_alpha
+from kvnlab.dynamics import characteristic_time
 from kvnlab.errors import NoBoundOrbit, SingularityAbort
 from kvnlab.semiclassics import (
     action_integral,
@@ -45,6 +47,69 @@ class TestTurningPoints:
         ):
             with pytest.raises(NoBoundOrbit):
                 turning_points(pot, 1.0)
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("E", [math.inf, math.nan])
+    def test_non_finite_energy_has_no_orbit(self, E):
+        with pytest.raises(NoBoundOrbit):
+            turning_points(QUARTIC, E)
+
+    @pytest.mark.parametrize("hbar", [-1.0, 0.0, math.inf, math.nan])
+    def test_bohr_levels_need_a_positive_hbar(self, hbar):
+        with pytest.raises(ValueError, match="hbar"):
+            bohr_levels(HARMONIC, hbar, 2)
+
+
+def _amplitude(n, E):
+    """Turning point a = (nE/g)^(1/n) of the g = 1 monomial well."""
+    return (n * E) ** (1.0 / n)
+
+
+def _closed_period(n, E):
+    return 4.0 * _amplitude(n, E) / math.sqrt(2.0 * E) * beta(1.0 / n, 0.5) / n
+
+
+def _closed_action(n, E):
+    return 4.0 * _amplitude(n, E) * math.sqrt(2.0 * E) * beta(1.0 / n, 1.5) / n
+
+
+class TestClosedFormOracles:
+    """Period, loop action and Bohr levels of V = q^n/n against Beta-function
+    closed forms, which share no code with the probe, the quadrature or the
+    bisection they check."""
+
+    @staticmethod
+    def _period(pot, q0):
+        return characteristic_time(pot, ExtendedPoint(q0, 0.0, 0.3, -0.2))
+
+    @pytest.mark.parametrize("n", [4.0, 6.0])
+    @pytest.mark.parametrize("q0", [1.0, 0.7])
+    def test_probe_period(self, n, q0):
+        pot = MonomialPotential(1.0, n)
+        expected = _closed_period(n, pot.value(q0))
+        assert self._period(pot, q0) == pytest.approx(expected, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("n", [4.0, 6.0])
+    def test_period_scaling_law(self, n):
+        # q -> alpha q takes E -> alpha^n E and T -> alpha^(1 - n/2) T
+        pot, alpha = MonomialPotential(1.0, n), 0.7
+        ratio = self._period(pot, alpha) / self._period(pot, 1.0)
+        assert ratio == pytest.approx(alpha ** (1.0 - n / 2.0), rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("n", [4.0, 6.0])
+    @pytest.mark.parametrize("E", [0.5, 1.0, 3.0])
+    def test_loop_action(self, n, E):
+        got = action_integral(MonomialPotential(1.0, n), E)
+        assert got == pytest.approx(_closed_action(n, E), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n", [4.0, 6.0])
+    def test_bohr_levels(self, n):
+        # J(E) = J(1) E^(1/2 + 1/n), so J = (k + 1/2) 2 pi hbar inverts in closed form
+        hbar, k = 0.5, np.arange(5)
+        expected = ((k + 0.5) * 2.0 * math.pi * hbar / _closed_action(n, 1.0)) ** (2 * n / (n + 2))
+        levels = bohr_levels(MonomialPotential(1.0, n), hbar, 5)
+        assert np.max(np.abs(levels / expected - 1.0)) < 1e-11
 
 
 class TestActionIntegral:
