@@ -67,10 +67,8 @@ def turning_points(pot: MonomialPotential, E: float) -> tuple[float, float]:
     Defined for confining even monomials (g > 0, even integer n >= 2),
     where the well is symmetric and q- = -q+."""
     _bound_orbit_exponent(pot)
-    if not math.isfinite(E):
-        raise NoBoundOrbit(f"E={E!r} is not a finite energy")
-    if E <= 0:
-        raise NoBoundOrbit(f"E={E!r} is below the well minimum V(0) = 0")
+    if not 0.0 < E < math.inf:
+        raise NoBoundOrbit(f"E={E!r} is not a finite energy above the well minimum V(0) = 0")
     qp = _solve_increasing(pot.value, E, TURNING_TOL, "the turning point")
     return -qp, qp
 
@@ -100,7 +98,7 @@ def bohr_levels(pot: MonomialPotential, hbar: float, count: int) -> np.ndarray:
     """Lowest `count` energies solving J(E) = (k + 1/2) * 2 pi hbar."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if not (math.isfinite(hbar) and hbar > 0):
+    if not 0.0 < hbar < math.inf:
         raise ValueError(f"hbar must be finite and positive, got {hbar!r}")
     action = partial(action_integral, pot)
     return np.array([

@@ -411,7 +411,7 @@ def suite_lms_virasoro(ctx: SuiteContext):
             check_id, "tower-endpoints", {"potential": {"g": pot.g, "n": n}, "samples": 50},
             1e-12,
         ) as out:
-            # Fifty draws of (q, p, lq, lp, t), the stream of 4 + 1 per sample.
+            # One row (q, p, lq, lp, t) per sample.
             draws = ctx.rng(check_id).uniform([0.4] * 4 + [-2.0], [1.6] * 4 + [2.0],
                                               size=(50, 5))
             x, t = ExtendedPoint(*draws[:, :4].T), draws[:, 4]
