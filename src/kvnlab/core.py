@@ -61,7 +61,7 @@ class MonomialPotential:
     def value(self, q):
         """Evaluate V(q) = g * q**n / n for a float or an array of them."""
         self._require(q)
-        return self.g * q ** self.n / self.n
+        return self.g * _power(q, self.n) / self.n
 
     def derivs(self, q):
         """Return (V'(q), V''(q)) = (g q**(n-1), g (n-1) q**(n-2))."""
@@ -70,20 +70,35 @@ class MonomialPotential:
 
     # The unchecked pair below is for right-hand sides: DOP853 trial stages
     # may step outside the domain, which must give a NaN and a rejected step
-    # rather than an exception. Keep ``**`` rather than np.power: on the
-    # np.float64 scalars a right-hand side unpacks it calls libm pow, where
-    # the ufunc may take a vectorised loop that rounds differently.
+    # rather than an exception.
 
     def force(self, q):
         """V'(q) = g q**(n-1), without the domain check."""
-        return self.g * q ** (self.n - 1.0)
+        return self.g * _power(q, self.n - 1.0)
 
     def curvature(self, q):
         """V''(q) = g (n-1) q**(n-2), without the domain check."""
         if self.n == 1.0:
             # q**0.0 is exactly 1 for every q, where q**-1.0 is inf at 0.
-            return 0.0 * q ** 0.0
-        return self.g * (self.n - 1.0) * q ** (self.n - 2.0)
+            return 0.0 * _power(q, 0.0)
+        return self.g * (self.n - 1.0) * _power(q, self.n - 2.0)
+
+
+def _power(q, e: float):
+    """q**e, on the fast path numpy has for arrays.
+
+    numpy's float ``**`` takes a vectorised loop only when every base is
+    positive; a mixed-sign array of 16,384 bases to the power 3.0 costs
+    about 16 times as much. So for an array and an integral e the power is
+    taken of |q| and the sign restored for odd e, which keeps the signed
+    zeros and infinities and stays within 1 ulp of the scalar power.
+    Scalars, the np.float64s a right-hand side unpacks included, and
+    non-integral e keep the literal ``q ** e``: libm pow, whose bits the
+    DOP853 trajectories are pinned to, and a NaN for a negative base."""
+    if isinstance(q, np.ndarray) and float(e).is_integer():
+        r = np.abs(q) ** e
+        return np.copysign(r, q) if e % 2 else r
+    return q ** e
 
 
 @dataclass(frozen=True)

@@ -43,10 +43,21 @@ def _solve_increasing(f, target: float, rtol: float, what: str) -> float:
     """Root of f(x) = target for f increasing on x >= 0, by bisection.
 
     hi doubles from 1 until f(hi) > target; then [0, hi] is halved until
-    its width is at most rtol * max(1, hi), and the midpoint is returned."""
+    its width is at most rtol * max(1, hi), and the midpoint is returned.
+    If f(hi) overflows or is not finite before it exceeds target, the
+    doubling stops with RangeExhausted naming the last hi where f was
+    finite."""
     hi = 1.0
     for _ in range(600):
-        if f(hi) > target:
+        try:
+            value = f(hi)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise RangeExhausted(
+                f"could not bracket {what}: f is finite only up to {0.5 * hi!r}"
+            )
+        if value > target:
             break
         hi *= 2.0
     else:

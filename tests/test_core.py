@@ -14,7 +14,15 @@ from kvnlab.core import (
     lms_params_from_alpha,
     lms_params_from_beta,
 )
+from kvnlab.core import _power
 from kvnlab.errors import DomainError, UndefinedError
+from kvnlab.suites import FIXTURES
+
+#: The exponents of the suites' potentials and two more: the non-integral
+#: 2.5 and the odd negative -3.
+POWER_NS = (*FIXTURES, 2.5, -3.0)
+#: Every power value, force and curvature raise to for those potentials.
+POWER_EXPONENTS = sorted({e for n in POWER_NS for e in (n, n - 1.0, n - 2.0)})
 
 
 class TestMonomialPotential:
@@ -87,6 +95,57 @@ class TestMonomialPotential:
         with np.errstate(invalid="ignore"):
             assert math.isnan(pot.force(np.float64(-1.0)))
             assert math.isnan(pot.curvature(np.float64(-1.0)))
+
+
+def _draws():
+    return np.random.default_rng(11).uniform(-3.0, 3.0, 200)
+
+
+class TestPower:
+    """``_power``, the one place MonomialPotential raises q to a power."""
+
+    @pytest.mark.parametrize("e", POWER_EXPONENTS)
+    def test_scalars_keep_the_literal_power(self, e):
+        # repr tells every bit of a float or np.float64 apart, and its type
+        with np.errstate(invalid="ignore"):
+            for q in _draws():
+                for x in (float(q), np.float64(q)):
+                    assert repr(_power(x, e)) == repr(x ** e), (x, e)
+
+    @pytest.mark.parametrize("n", POWER_NS)
+    def test_potential_scalars_keep_their_bits(self, n):
+        # the np.float64 states a DOP853 right-hand side unpacks
+        pot = MonomialPotential(1.5, n)
+        with np.errstate(invalid="ignore"):
+            for q in map(np.float64, _draws()):
+                assert repr(pot.force(q)) == repr(1.5 * q ** (n - 1.0))
+                if n != 1.0:
+                    assert repr(pot.curvature(q)) == repr(1.5 * (n - 1.0) * q ** (n - 2.0))
+                if q > 0:
+                    assert repr(pot.value(q)) == repr(1.5 * q ** n / n)
+
+    @pytest.mark.parametrize("e", POWER_EXPONENTS)
+    def test_arrays_within_one_ulp_of_scalars(self, e):
+        q = _draws()
+        with np.errstate(invalid="ignore"):
+            scalar = np.array([x ** e for x in map(np.float64, q)])
+            np.testing.assert_array_max_ulp(_power(q, e), scalar, maxulp=1)
+
+    @pytest.mark.parametrize("e", [e for e in POWER_EXPONENTS if float(e).is_integer()])
+    def test_signed_zeros_and_infinities(self, e):
+        q = np.array([0.0, -0.0, math.inf, -math.inf])
+        with np.errstate(divide="ignore"):
+            got = _power(q, e)
+            want = np.array([x ** e for x in map(np.float64, q)])
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_negative_base_gives_nan_for_a_fractional_exponent(self):
+        pot = MonomialPotential(1.0, 2.5)
+        q = np.array([-1.0, 1.0])
+        with np.errstate(invalid="ignore"):
+            for got in (pot.force(q), pot.curvature(q), _power(q, 2.5)):
+                assert math.isnan(got[0]) and got[1] > 0
 
 
 class TestPoints:

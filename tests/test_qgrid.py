@@ -1,5 +1,6 @@
 """Grid states, transport, split-step evolution, and entanglement."""
 
+import json
 import math
 import os
 import re
@@ -13,6 +14,7 @@ import pytest
 import scipy.fft
 
 import kvnlab
+from kvnlab import cli, qgrid
 from kvnlab.core import MonomialPotential
 from kvnlab.dynamics import flow_map_batch
 from kvnlab.errors import NonNormalizable, SupportExit
@@ -455,45 +457,102 @@ class TestClassicalLimit:
 
 class TestSimilarityRemap:
     def test_product_state_entangles(self):
-        state = _qqbar_gaussian()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DomainExitWarning)
-            out = apply_lms_unitary_harmonic(state, 0.5)
+        out = apply_lms_unitary_harmonic(_qqbar_gaussian(), 0.5)
         assert schmidt(out).ratio > 1e-3
 
-    @pytest.mark.parametrize("count, tol", [(128, 1e-7), (256, 1e-8)])
-    def test_schmidt_ratio_matches_mehler_closed_form(self, count, tol):
-        # the qg-lms-entangles state and alphas; the bicubic remap's error
-        # falls as h^4 (<= 6.9e-8 at 128^2, <= 4.3e-9 at 256^2)
+    @pytest.mark.parametrize("count", [128, 256])
+    def test_schmidt_ratio_matches_mehler_closed_form(self, count):
+        # the qg-lms-entangles state and alphas; the Fourier shears are
+        # exact for the resolved Gaussians, and the ratio is off by
+        # roundoff only (<= 7.8e-14 at 128^2, <= 6.4e-14 at 256^2)
         assert _mehler_ratio(0.5) == pytest.approx(0.480804902664, abs=1e-12)
         state = _qqbar_gaussian(count=count)
         for alpha in (0.1, 0.2, 0.3, 0.4, 0.5):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DomainExitWarning)
-                ratio = schmidt(apply_lms_unitary_harmonic(state, alpha)).ratio
-            assert abs(ratio - _mehler_ratio(alpha)) < tol, alpha
+            ratio = schmidt(apply_lms_unitary_harmonic(state, alpha)).ratio
+            assert abs(ratio - _mehler_ratio(alpha)) < 1e-12, alpha
+
+    def test_matches_the_exact_image_on_unequal_axes(self):
+        # off-centre axes of different widths and counts: the remapped
+        # amplitude is the product profile at the mapped point (measured
+        # error 2.1e-12, bicubic 2.1e-5)
+        f1, f2 = gaussian_profile(0.3, 0.8), gaussian_profile(-0.2, 0.6)
+        state = make_separable(
+            f1, f2, GridAxis(0.5, 8.0, 128), GridAxis(-0.3, 7.0, 64), rep=REP_QQBAR, hbar=0.5,
+        )
+        alpha = 0.4
+        out = apply_lms_unitary_harmonic(state, alpha)
+        q, qbar = np.meshgrid(state.axis1.points(), state.axis2.points(), indexing="ij")
+        ch, sh = math.cosh(alpha), math.sinh(alpha)
+        exact = f1(ch * q + sh * qbar) * f2(sh * q + ch * qbar)
+        # make_separable's normalisation, read off at the peak
+        peak = np.unravel_index(np.argmax(np.abs(state.amps)), q.shape)
+        exact = exact * state.amps[peak] / (f1(q[peak]) * f2(qbar[peak]))
+        assert np.max(np.abs(out.amps - exact)) < 1e-10
+
+    def test_readme_report_ratio_is_the_mehler_value(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "suite": "all", "potential": {"g": 1.0, "n": 4.0},
+            "lms": {"alpha": 1.3}, "seed": 17,
+        }))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AliasingWarning)
+            assert cli.main(["run", str(scenario), "--out", str(tmp_path / "rep")]) == 0
+        capsys.readouterr()
+        report = json.loads((tmp_path / "rep" / "report.json").read_text())
+        (check,) = [c for c in report["checks"] if c["id"] == "qg-lms-entangles"]
+        assert abs(check["measured"]["schmidt_ratio"] - _mehler_ratio(0.5)) < 1e-12
 
     def test_separable_before(self):
         assert schmidt(_qqbar_gaussian()).ratio < 1e-12
 
     def test_norm_within_budget(self):
-        state = _qqbar_gaussian()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DomainExitWarning)
-            out = apply_lms_unitary_harmonic(state, 0.5)
+        out = apply_lms_unitary_harmonic(_qqbar_gaussian(), 0.5)
         assert abs(out.norm() - 1.0) < 1e-3
+
+    @staticmethod
+    def _off_center(q, qbar, width=0.4, qbar_width=None, count=64):
+        ax = GridAxis(0.0, 6.0, count)
+        return make_separable(
+            gaussian_profile(q, width), gaussian_profile(qbar, qbar_width or width), ax, ax,
+            rep=REP_QQBAR, hbar=0.5,
+        )
 
     def test_support_exit_detected(self):
         # a state pushed far off-center leaves the grid under the remap
-        ax = GridAxis(0.0, 6.0, 64)
-        state = make_separable(
-            gaussian_profile(4.5, 0.6), gaussian_profile(-4.5, 0.6), ax, ax,
-            rep=REP_QQBAR, hbar=0.5,
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DomainExitWarning)
-            with pytest.raises(SupportExit):
-                apply_lms_unitary_harmonic(state, 1.5)
+        with pytest.raises(SupportExit):
+            apply_lms_unitary_harmonic(self._off_center(4.5, -4.5, 0.6), 1.5)
+
+    def test_support_exit_in_the_middle_shear(self):
+        # the first shear moves this narrow state along Q by tanh(1) Qbar,
+        # under 1, and keeps it on the grid; the middle one moves it along
+        # Qbar by sinh(2) Q, about 10.9, across the padded box of width 15.
+        # A periodic shift wraps it round whole, and the last shear puts
+        # the wrapped state back inside the grid with its norm intact, so
+        # only the shear's own wrap test can see it go
+        state = self._off_center(3.0, -0.5, 0.1, 0.2, count=256)
+        with pytest.raises(SupportExit, match="shear 2 of 3"):
+            apply_lms_unitary_harmonic(state, 2.0)
+
+    def test_support_exit_in_the_padding(self):
+        # every shear keeps this state inside the padded box, but its image
+        # ends partly in the padding, which the cut back to the grid drops
+        with pytest.raises(SupportExit, match="ends outside the grid"):
+            apply_lms_unitary_harmonic(self._off_center(4.0, -1.0), 0.5)
+
+    def test_quantum_leak_run_calls_no_domain_exit_warning(self, tmp_path, capsys, monkeypatch):
+        # count every warn call qgrid makes, those a filter would silence
+        # included: the remap has nothing to zero-fill, so neither emits
+        # nor hides a DomainExitWarning
+        calls = _WarnCalls()
+        monkeypatch.setattr(qgrid, "warnings", calls)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "suite": "quantum-leak", "potential": {"g": 1.0, "n": 4.0}, "grid": {"count": 256},
+        }))
+        assert cli.main(["run", str(scenario), "--out", str(tmp_path / "rep")]) == 0
+        capsys.readouterr()
+        assert DomainExitWarning not in calls.categories
 
     def test_infinitesimal_consistency_fd(self):
         # fourth-order central difference of the remap in alpha against
@@ -502,9 +561,7 @@ class TestSimilarityRemap:
         h = 1e-4
 
         def remap(a):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DomainExitWarning)
-                return apply_lms_unitary_harmonic(state, a).amps
+            return apply_lms_unitary_harmonic(state, a).amps
 
         deriv = (
             8.0 * (remap(h) - remap(-h)) - (remap(2.0 * h) - remap(-2.0 * h))
@@ -542,6 +599,21 @@ class TestSimilarityRemap:
     def test_requires_qqbar(self):
         with pytest.raises(ValueError):
             apply_lms_unitary_harmonic(_qp_gaussian(), 0.3)
+
+
+class _WarnCalls:
+    """Stands in for qgrid's ``warnings`` module and keeps the category of
+    every ``warn`` call before the filters see it."""
+
+    def __init__(self):
+        self.categories = []
+
+    def __getattr__(self, name):
+        return getattr(warnings, name)
+
+    def warn(self, message, category=UserWarning, stacklevel=1):
+        self.categories.append(category)
+        warnings.warn(message, category, stacklevel + 1)
 
 
 def _resample(state, pts1, pts2):

@@ -8,7 +8,7 @@ from scipy.special import beta
 
 from kvnlab.core import ExtendedPoint, MonomialPotential, PhasePoint, lms_params_from_alpha
 from kvnlab.dynamics import characteristic_time
-from kvnlab.errors import NoBoundOrbit, SingularityAbort
+from kvnlab.errors import NoBoundOrbit, RangeExhausted, SingularityAbort
 from kvnlab.semiclassics import (
     action_integral,
     bohr_levels,
@@ -54,6 +54,12 @@ class TestBadInputs:
     def test_non_finite_energy_has_no_orbit(self, E):
         with pytest.raises(NoBoundOrbit):
             turning_points(QUARTIC, E)
+
+    def test_overflowing_bracket_is_range_exhausted(self):
+        # V(q) = q^4/4 overflows Python float pow at q = 2^256, before it
+        # reaches E; the bracket search must not escape as OverflowError
+        with pytest.raises(RangeExhausted, match="finite only up to"):
+            turning_points(QUARTIC, 1e308)
 
     @pytest.mark.parametrize("hbar", [-1.0, 0.0, math.inf, math.nan])
     def test_bohr_levels_need_a_positive_hbar(self, hbar):
