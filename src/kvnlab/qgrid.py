@@ -324,11 +324,11 @@ def apply_lms_unitary_harmonic(state: GridState2D, alpha: float) -> GridState2D:
     state (Unser, Thevenaz & Yaroslavsky, IEEE Trans. Image Process. 4
     (1995) 1371), so the remap is unitary to roundoff. The shears run on
     the grid zero-padded by an eighth of each axis on either side, and the
-    result is cut back to the grid. A shift is periodic in the padded box, so mass the
-    state carries across the box would wrap round to the far side: if any
-    shear would carry more than 1e-3 of the squared norm across it, or more
-    than that is left in the padding at the end, the mapped support has
-    left the grid."""
+    result is cut back to the grid. A shift is periodic in the padded box,
+    so mass carried across the box would wrap round to the far side: if
+    any shear would carry more than 1e-3 of the squared norm across it, or
+    more than that is left in the padding at the end, the mapped support
+    has left the grid (SupportExit)."""
     if state.rep != REP_QQBAR:
         raise ValueError("the similarity remap needs the qqbar representation")
     axes = (state.axis1, state.axis2)
@@ -337,6 +337,8 @@ def apply_lms_unitary_harmonic(state: GridState2D, alpha: float) -> GridState2D:
     mass = float(np.sum(np.abs(psi) ** 2))
     outer = _row_shifts(axes, pads, 0, math.tanh(0.5 * alpha))
     middle = _row_shifts(axes, pads, 1, math.sinh(alpha))
+    # psi is this function's own array from np.pad on, so the transforms
+    # may overwrite it
     for i, (axis, (shifts, phase)) in enumerate(((0, outer), (1, middle), (0, outer))):
         carried = _carried(psi, axis, axes[axis].dx, shifts)
         if carried > 1e-3 * mass:
@@ -344,9 +346,9 @@ def apply_lms_unitary_harmonic(state: GridState2D, alpha: float) -> GridState2D:
                 f"shear {i + 1} of 3 carries {carried / mass:.3e} of the squared norm "
                 "across the padded grid"
             )
-        spec = scipy.fft.fft(psi, axis=axis)
-        spec *= phase
-        psi = scipy.fft.ifft(spec, axis=axis, overwrite_x=True)
+        psi = scipy.fft.fft(psi, axis=axis, overwrite_x=True)
+        psi *= phase
+        psi = scipy.fft.ifft(psi, axis=axis, overwrite_x=True)
     inner = psi[pads[0]:pads[0] + state.axis1.count, pads[1]:pads[1] + state.axis2.count]
     left = float(np.sum(np.abs(psi) ** 2) - np.sum(np.abs(inner) ** 2))
     if left > 1e-3 * mass:
@@ -355,14 +357,14 @@ def apply_lms_unitary_harmonic(state: GridState2D, alpha: float) -> GridState2D:
 
 
 def _row_shifts(axes, pads, axis: int, factor: float):
-    """Shifts of a shear along `axis`, and the Fourier phases that apply them.
+    """Shifts of a shear along `axis`, and the phases exp(i k shift) that
+    apply them, indexed like the state.
 
-    A row is a line along `axis`; its shift is `factor` times its padded
-    coordinate on the other axis. The phases exp(i k shift), indexed like
-    the state, come from two tables of about sqrt(rows) rows each, one for
-    the shifts of the first `block` rows and one for multiples of the
-    shift across `block` rows: each phase is a product of one entry of
-    each, which takes about 2/sqrt(rows) of the exponentials."""
+    Row r, a line along `axis`, moves by `factor` times its padded
+    coordinate y0 + r dy on the other axis. For r = a B + b the phase is
+    exp(i k f (y0 + b dy)) exp(i k f a B dy), a product of entries of two
+    tables of B ~ sqrt(rows) rows, which takes about 2/sqrt(rows) of the
+    exponentials of a direct table."""
     other, pad = axes[1 - axis], pads[1 - axis]
     rows = other.count + 2 * pad
     start = factor * (other.center - other.extent - pad * other.dx)
