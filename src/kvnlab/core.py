@@ -89,7 +89,7 @@ def _power(q, e: float):
 
     numpy's float ``**`` takes a vectorised loop only when every base is
     positive; a mixed-sign array of 16,384 bases to the power 3.0 costs
-    about 16 times as much. So for an array and an integral e the power is
+    over ten times as much. So for an array and an integral e the power is
     taken of |q| and the sign restored for odd e, which keeps the signed
     zeros and infinities and stays within 1 ulp of the scalar power.
     Scalars, the np.float64s a right-hand side unpacks included, and
