@@ -119,7 +119,7 @@ def guarded_solve(rhs, y0, T, pot, t_eval=None, events=(), npos=1,
         rtol=TOL,
         atol=TOL,
         t_eval=t_eval,
-        events=events,
+        events=events or None,  # an empty list still costs a search per step
     )
     if not sol.success:
         raise StepFailure(sol.message)

@@ -24,8 +24,10 @@ The split basis is reached through the shifts
     Qbar = q + (hbar/2) lp,   Pbar = p - (hbar/2) lq,
 
 which embed a Heisenberg pair and its opposite-sign copy inside the
-classical operator algebra. hbar and t stay formal symbols; nothing in this
-module evaluates to floating point.
+classical operator algebra. The shifts are ring constants (no sympy). The
+images of monomials under the shifts, their inverse and the symmetric
+ordering are memoised and only read through a scaling into fresh dicts.
+hbar and t stay formal symbols; nothing here evaluates to floating point.
 """
 
 from __future__ import annotations
@@ -75,6 +77,9 @@ BOPP = Algebra(("Q", "Qbar", "P", "Pbar"), (1, 1), (-1, 1))
 
 _RING_SYMBOLS = (hbar, t_sym, alpha_sym)
 _UNIT = (0, 0, 0, 0, 0)
+_HALF = {_UNIT: Fraction(1, 2)}
+_HALF_HBAR = {(0, 1, 0, 0, 0): Fraction(1, 2)}
+_INV_HBAR = {(0, -1, 0, 0, 0): 1}
 
 
 def _rational(x: sp.Rational):
@@ -137,8 +142,9 @@ def _cadd(x: dict, y: dict) -> dict:
     return out
 
 
-def _cmul(x: dict, y: dict) -> dict:
-    out = {}
+def _cmul(x: dict, y: dict, out=None) -> dict:
+    """x * y, added into out when it is given; out must not be shared."""
+    out = {} if out is None else out
     for (i1, h1, t1, a1, e1), u in x.items():
         for (i2, h2, t2, a2, e2), v in y.items():
             w = u * v
@@ -146,11 +152,13 @@ def _cmul(x: dict, y: dict) -> dict:
             if i == 2:
                 i, w = 0, -w
             key = (i, h1 + h2, t1 + t2, a1 + a2, e1 + e2)
-            s = out.get(key, 0) + w
-            if s == 0:
-                out.pop(key, None)
-            else:
+            s = out.get(key)
+            if s is None:
+                out[key] = w
+            elif s := s + w:
                 out[key] = s
+            else:
+                del out[key]
     return out
 
 
@@ -375,18 +383,6 @@ def commutator(a: OperatorPoly, b: OperatorPoly) -> OperatorPoly:
     return a * b - b * a
 
 
-def _powers(base: OperatorPoly):
-    """Memoised powers: the returned function maps k to base.power(k)."""
-    cache = [OperatorPoly.scalar(base.algebra, 1)]
-
-    def power(k):
-        while len(cache) <= k:
-            cache.append(cache[-1] * base)
-        return cache[k]
-
-    return power
-
-
 # Generator shorthands for the position algebra.
 def q_op():
     return OperatorPoly.generator(KVN, 0)
@@ -407,11 +403,10 @@ def lp_op():
 def bopp_operators():
     """The shifted pairs (Q, P, Qbar, Pbar) as position-algebra operators."""
     q, p, lq, lp = q_op(), p_op(), lq_op(), lp_op()
-    half = sp.Rational(1, 2) * hbar
-    Q = q - lp.scale(half)
-    P = p + lq.scale(half)
-    Qbar = q + lp.scale(half)
-    Pbar = p - lq.scale(half)
+    Q = q - lp._scaled(_HALF_HBAR)
+    P = p + lq._scaled(_HALF_HBAR)
+    Qbar = q + lp._scaled(_HALF_HBAR)
+    Pbar = p - lq._scaled(_HALF_HBAR)
     return Q, P, Qbar, Pbar
 
 
@@ -425,78 +420,103 @@ def kvn_to_bopp(x: OperatorPoly) -> OperatorPoly:
     lp = (Qbar-Q)/hbar; coefficients may pick up powers of 1/hbar."""
     if x.algebra is not KVN:
         raise ValueError("expected a position-algebra operator")
-    Q = OperatorPoly.generator(BOPP, 0)
-    Qb = OperatorPoly.generator(BOPP, 1)
-    P = OperatorPoly.generator(BOPP, 2)
-    Pb = OperatorPoly.generator(BOPP, 3)
-    half = sp.Rational(1, 2)
-    images = [
-        (Q + Qb).scale(half),
-        (P + Pb).scale(half),
-        (P - Pb).scale(1 / hbar),
-        (Qb - Q).scale(1 / hbar),
-    ]
-    return _substitute(x, BOPP, images)
+    return _sum_scaled(BOPP, [(c, _monomial_image(BOPP, key)) for key, c in x.terms.items()])
 
 
 def bopp_to_kvn(x: OperatorPoly) -> OperatorPoly:
     """Inverse rewrite, back over (q, p, lq, lp)."""
     if x.algebra is not BOPP:
         raise ValueError("expected a split-basis operator")
-    Q, P, Qb, Pb = bopp_operators()
-    return _substitute(x, KVN, [Q, Qb, P, Pb])
+    return _sum_scaled(KVN, [(c, _monomial_image(KVN, key)) for key, c in x.terms.items()])
 
 
-def _substitute(x, target, images):
-    powers = [_powers(image) for image in images]
-    out = OperatorPoly.zero(target)
-    for key, coeff in x.terms.items():
-        term = OperatorPoly(target)
-        term.terms[(0, 0, 0, 0)] = coeff
-        for slot, e in enumerate(key):
-            if e:
-                term = term * powers[slot](e)
-        out._add_poly(term)
+@functools.cache
+def _generator_images(target: Algebra) -> tuple:
+    """The four generators of the other basis written over target."""
+    if target is KVN:
+        Q, P, Qb, Pb = bopp_operators()
+        return Q, Qb, P, Pb
+    Q, Qb, P, Pb = (OperatorPoly.generator(BOPP, slot) for slot in range(4))
+    return ((Q + Qb)._scaled(_HALF), (P + Pb)._scaled(_HALF),
+            (P - Pb)._scaled(_INV_HBAR), (Qb - Q)._scaled(_INV_HBAR))
+
+
+@functools.cache
+def _monomial_image(target: Algebra, key: tuple) -> OperatorPoly:
+    """Image over target of the other basis's monomial key: the image without
+    its last factor times that factor's image. Only read by _sum_scaled."""
+    if not any(key):
+        return OperatorPoly.scalar(target, 1)
+    slot = max(s for s, e in enumerate(key) if e)
+    rest = tuple(e - (s == slot) for s, e in enumerate(key))
+    return _monomial_image(target, rest) * _generator_images(target)[slot]
+
+
+def _sum_scaled(algebra: Algebra, pairs: list) -> OperatorPoly:
+    """Sum of coeff * image over (coeff, image) pairs, reading the images only,
+    on integer numerators over the common denominators of the two sides."""
+    dc = math.lcm(*(v.denominator for c, _ in pairs for v in c.values()))
+    di = math.lcm(*(v.denominator for _, x in pairs for c in x.terms.values() for v in c.values()))
+    acc = {}
+    for coeff, image in pairs:
+        cn = {m: v.numerator * (dc // v.denominator) for m, v in coeff.items()}
+        for key, c in image.terms.items():
+            _cmul({m: v.numerator * (di // v.denominator) for m, v in c.items()}, cn,
+                  acc.setdefault(key, {}))
+    out = OperatorPoly(algebra)
+    out.terms = {k: {m: Fraction(n, dc * di) for m, n in c.items()} for k, c in acc.items() if c}
     return out
 
 
 # -- polynomial observables and their operator versions ------------------
 
 
-def _as_qp_poly(expr):
+@functools.lru_cache(maxsize=256)
+def _qp_terms(expr) -> tuple:
+    """The terms (a, b, coeff dict) of C(q, p); callers never mutate them."""
     expr = sp.sympify(expr)
     try:
         poly = sp.Poly(expr, q_c, p_c)
     except sp.PolynomialError as exc:
         raise NonPolynomialPotential(f"not polynomial in (q, p): {expr}") from exc
-    return poly
+    return tuple((a, b, _coeff(c)) for (a, b), c in poly.terms())
 
 
 def weyl_substitute(expr, X: OperatorPoly, Y: OperatorPoly) -> OperatorPoly:
     """Symmetric-ordered substitution of (X, Y) into C(q, p).
 
     Each monomial q^a p^b maps to 2^(-a) * sum_k C(a,k) X^k Y^b X^(a-k),
-    the symmetric ordering in closed form. A monomial without one of the
-    two variables maps to the plain power X^a or Y^b, which is its
-    symmetric ordering."""
-    return _weyl_terms(_as_qp_poly(expr).terms(), X, Y)
-
-
-def _weyl_terms(terms, X: OperatorPoly, Y: OperatorPoly) -> OperatorPoly:
-    """weyl_substitute on the ((a, b), coeff) terms of C."""
+    the symmetric ordering in closed form (see _weyl_step)."""
     X._check_same(Y)
-    out = OperatorPoly.zero(X.algebra)
-    xpow, ypow = _powers(X), _powers(Y)
-    for (a, b), coeff in terms:
-        if a == 0 or b == 0:
-            out._add_poly((ypow(b) if a == 0 else xpow(a)).scale(coeff))
-            continue
-        yb = ypow(b)
-        acc = OperatorPoly.zero(X.algebra)
-        for k in range(a + 1):
-            acc._add_poly((xpow(k) * yb * xpow(a - k)).scale(math.comb(a, k)))
-        out._add_poly(acc.scale(coeff * sp.Rational(1, 2**a)))
-    return out
+
+    @functools.cache
+    def image(a, b):
+        return _weyl_step(a, b, X, Y, image)
+
+    return _weyl_terms(_qp_terms(expr), image, X.algebra)
+
+
+def _weyl_step(a: int, b: int, X: OperatorPoly, Y: OperatorPoly, image) -> OperatorPoly:
+    """Symmetric-ordered image W(a, b) of q^a p^b from image() of lower degree:
+    X^a or Y^b for a pure power, else (X W + W X)/2 with W = W(a-1, b), which
+    Pascal's rule turns into McCoy's 2^(-a) sum_k C(a,k) X^k Y^b X^(a-k)."""
+    if a == 0:
+        return image(0, b - 1) * Y if b else OperatorPoly.scalar(X.algebra, 1)
+    w = image(a - 1, b)
+    return w * X if b == 0 else (X * w + w * X)._scaled(_HALF)
+
+
+@functools.cache
+def _weyl_image(a: int, b: int, bar: bool) -> OperatorPoly:
+    """W(a, b) over (Q, P), or (Qbar, Pbar) when bar is set; read by _sum_scaled."""
+    Q, P, Qb, Pb = bopp_operators()
+    X, Y = (Qb, Pb) if bar else (Q, P)
+    return _weyl_step(a, b, X, Y, lambda a, b: _weyl_image(a, b, bar))
+
+
+def _weyl_terms(terms, image, algebra: Algebra) -> OperatorPoly:
+    """Sum of coeff * image(a, b) over the (a, b, coeff) terms of C."""
+    return _sum_scaled(algebra, [(c, image(a, b)) for a, b, c in terms])
 
 
 def _require_monomial_exponent(pot: MonomialPotential) -> int:
@@ -546,7 +566,7 @@ def c_hbar_series(expr, jmax: int) -> OperatorPoly:
 
     The k-th summand pairs each lq with a d_p and each lp with a -d_q.
     The derivatives are taken on the exponents of the terms of C."""
-    terms = [(a, b, _coeff(c)) for (a, b), c in _as_qp_poly(expr).terms()]
+    terms = _qp_terms(expr)
     out = OperatorPoly.zero(KVN)
     for j in range(jmax + 1):
         order = 2 * j + 1
@@ -580,9 +600,10 @@ def build_C_hbar(expr) -> OperatorPoly:
     observable, with symmetric-ordered substitution; equals its own
     odd-derivative series and reduces to the classical vector field of C
     as hbar -> 0."""
-    terms = _as_qp_poly(expr).terms()
-    Q, P, Qb, Pb = bopp_operators()
-    return _divide_by_hbar(_weyl_terms(terms, Q, P) - _weyl_terms(terms, Qb, Pb))
+    terms = _qp_terms(expr)
+    plain = _weyl_terms(terms, lambda a, b: _weyl_image(a, b, False), KVN)
+    barred = _weyl_terms(terms, lambda a, b: _weyl_image(a, b, True), KVN)
+    return _divide_by_hbar(plain - barred)
 
 
 def classical_vector_field(expr) -> OperatorPoly:

@@ -44,20 +44,22 @@ def _solve_increasing(f, target: float, rtol: float, what: str) -> float:
 
     hi doubles from 1 until f(hi) > target; then [0, hi] is halved until
     its width is at most rtol * max(1, hi), and the midpoint is returned.
-    If f(hi) overflows or is not finite before it exceeds target, the
-    doubling stops with RangeExhausted naming the last hi where f was
-    finite."""
+    f increases, so an overflow (OverflowError or +inf) counts as above
+    target. A NaN raises RangeExhausted, and so does a root that lies past
+    the point where f overflows, naming the last x where f was finite."""
+
+    def value(x):
+        try:
+            v = f(x)
+        except OverflowError:
+            return math.inf
+        if math.isnan(v):
+            raise RangeExhausted(f"could not bracket {what}: f({x!r}) is NaN")
+        return v
+
     hi = 1.0
     for _ in range(600):
-        try:
-            value = f(hi)
-        except OverflowError:
-            value = math.inf
-        if not math.isfinite(value):
-            raise RangeExhausted(
-                f"could not bracket {what}: f is finite only up to {0.5 * hi!r}"
-            )
-        if value > target:
+        if value(hi) > target:
             break
         hi *= 2.0
     else:
@@ -65,10 +67,12 @@ def _solve_increasing(f, target: float, rtol: float, what: str) -> float:
     lo = 0.0
     while hi - lo > rtol * max(1.0, hi):
         mid = 0.5 * (lo + hi)
-        if f(mid) > target:
+        if value(mid) > target:
             hi = mid
         else:
             lo = mid
+    if value(hi) == math.inf:
+        raise RangeExhausted(f"could not bracket {what}: f is finite only up to {lo!r}")
     return 0.5 * (lo + hi)
 
 

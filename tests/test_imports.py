@@ -120,3 +120,16 @@ def test_run_imports_nothing_inside_the_run(tmp_path, suite):
     assert got["sympy"] == (suite in ("opalg", "all"))
     if suite == "quantum-leak":
         assert got["inside"] == []
+
+
+def test_importing_opalg_builds_no_image(tmp_path):
+    # the memoised images fill on first use, so no workload's set-up pays
+    # for them; a cold opalg run loading no scipy is checked above
+    code = (
+        "import json, kvnlab.opalg as o\n"
+        "print(json.dumps({name: getattr(o, name).cache_info().currsize\n"
+        "                  for name in ('_generator_images', '_monomial_image',\n"
+        "                               '_weyl_image', '_qp_terms')}))"
+    )
+    got = run_child(code, cwd=tmp_path)
+    assert got == {"_generator_images": 0, "_monomial_image": 0, "_weyl_image": 0, "_qp_terms": 0}

@@ -1,5 +1,6 @@
 """Operator algebra: normal ordering, generators, adjoints, obstruction."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -328,6 +329,66 @@ class TestGeneratorConstruction:
             from kvnlab.opalg import _divide_by_hbar
 
             _divide_by_hbar(q_op())
+
+
+class TestMemoisedImages:
+    """The monomial images behind build_C_hbar, kvn_to_bopp and bopp_to_kvn
+    are built once per process; these pin that reuse and that no caller can
+    reach a cached coefficient dict."""
+
+    def test_same_monomials_need_no_operator_product(self, monkeypatch):
+        build_C_hbar(3 * q_c**3 * p_c**2 - 2 * q_c * p_c + 5 * p_c**3)
+        calls = []
+        mul = OperatorPoly.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(OperatorPoly, "__mul__", counting)
+        got = build_C_hbar(-7 * q_c**3 * p_c**2 + 4 * q_c * p_c - p_c**3 / 3)
+        assert calls == []
+        monkeypatch.undo()
+        assert got.equals(c_hbar_series(-7 * q_c**3 * p_c**2 + 4 * q_c * p_c - p_c**3 / 3, 2))
+
+    def test_returned_operators_do_not_alias_the_caches(self):
+        expr = 2 * q_c**2 * p_c - 3 * p_c**2 + q_c**4 / 4
+
+        def results():
+            built = build_C_hbar(expr)
+            return built, kvn_to_bopp(built), leak_detect(built).converted
+
+        first = results()
+        expected = [{key: dict(c) for key, c in x.terms.items()} for x in first]
+        for x in first:
+            for c in x.terms.values():
+                for m in c:
+                    c[m] = 99
+                c[(1, 5, 0, 0, 0)] = 7
+            x.terms[(9, 9, 9, 9)] = {(0, 0, 0, 0, 0): 1}
+        assert [x.terms for x in results()] == expected
+
+    @pytest.mark.parametrize("b", range(4))
+    @pytest.mark.parametrize("a", range(7))
+    def test_monomial_equals_its_series(self, a, b):
+        expr = q_c**a * p_c**b
+        jmax = max(0, (a + b - 1) // 2)
+        assert build_C_hbar(expr).equals(c_hbar_series(expr, jmax))
+
+    @pytest.mark.parametrize("algebra", [KVN, BOPP], ids=["kvn", "bopp"])
+    def test_every_low_monomial_round_trips(self, algebra):
+        there, back = (kvn_to_bopp, bopp_to_kvn) if algebra is KVN else (bopp_to_kvn, kvn_to_bopp)
+        for key in itertools.product(range(5), repeat=4):
+            if sum(key) <= 4:
+                m = OperatorPoly(algebra, {key: 1})
+                assert back(there(m)) == m
+
+    def test_every_call_on_a_bad_observable_raises(self):
+        for _ in range(2):
+            with pytest.raises(NonPolynomialPotential):
+                build_C_hbar(1 / q_c)
+            with pytest.raises(NonPolynomialPotential):
+                c_hbar_series(sp.sin(p_c), 1)
 
 
 class TestSimilarityGenerator:

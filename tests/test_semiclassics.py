@@ -10,6 +10,7 @@ from kvnlab.core import ExtendedPoint, MonomialPotential, PhasePoint, lms_params
 from kvnlab.dynamics import characteristic_time
 from kvnlab.errors import NoBoundOrbit, RangeExhausted, SingularityAbort
 from kvnlab.semiclassics import (
+    TURNING_TOL,
     action_integral,
     bohr_levels,
     eigensolve_newton_equiv,
@@ -60,6 +61,14 @@ class TestBadInputs:
         # reaches E; the bracket search must not escape as OverflowError
         with pytest.raises(RangeExhausted, match="finite only up to"):
             turning_points(QUARTIC, 1e308)
+
+    def test_bracket_reaches_a_root_below_the_overflow(self):
+        # the root (4E)^(1/4) = 7.95e76 lies below 2^256, where q^4 first
+        # overflows; an overflow is above any finite target, so it brackets
+        lo, hi = turning_points(QUARTIC, 1e307)
+        assert hi == pytest.approx(7.9527e76, rel=1e-4)
+        assert lo == -hi
+        assert QUARTIC.value(hi) == pytest.approx(1e307, rel=TURNING_TOL, abs=0.0)
 
     @pytest.mark.parametrize("hbar", [-1.0, 0.0, math.inf, math.nan])
     def test_bohr_levels_need_a_positive_hbar(self, hbar):
