@@ -8,9 +8,11 @@ plain dict {(ei, eh, et, ea, ee): value} with i^2 = -1 reduced on multiply
 introduces and ee the k of exp(k alpha) that a finite adjoint introduces.
 A value is an int or a Fraction. The monomials alpha^j exp(k alpha) are
 linearly independent, so two normal forms are equal exactly when their
-dicts are. Conversion to and from sympy happens only at the boundary:
-constructors, scale and _accumulate take int, Rational or Expr (cosh and
-sinh are rewritten through exp); coefficient() returns an Expr.
+dicts are. Every computation is in this ring; sympy only reads values in
+(constructors, scale and _accumulate also take Rational or Expr, cosh and
+sinh rewritten through exp; observables C(q, p)) and out (coefficient(),
+str()). Floating point only proposes the eigenvalues of a finite adjoint,
+which an exact test then accepts.
 Two instances of the same engine are used:
 
 * the position algebra with generators q, p, lq, lp, canonical pairs
@@ -27,7 +29,7 @@ which embed a Heisenberg pair and its opposite-sign copy inside the
 classical operator algebra. The shifts are ring constants (no sympy). The
 images of monomials under the shifts, their inverse and the symmetric
 ordering are memoised and only read through a scaling into fresh dicts.
-hbar and t stay formal symbols; nothing here evaluates to floating point.
+hbar and t stay formal symbols; no result is computed in floating point.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 import sympy as sp
 
 from .core import MonomialPotential
@@ -46,6 +49,7 @@ from .errors import (
     NonPolynomialPotential,
     NonQuadraticGenerator,
     SingularHbarLimit,
+    UndefinedError,
 )
 
 hbar = sp.Symbol("hbar", positive=True)
@@ -86,6 +90,14 @@ def _rational(x: sp.Rational):
     return int(x.p) if x.q == 1 else Fraction(x.p, x.q)
 
 
+def _exact(x):
+    """x as an int or Fraction, read as sp.nsimplify(x, rational=True) reads it:
+    0.1 is 1/10, and an integral float keeps 15 significant digits."""
+    if isinstance(x, int) or (isinstance(x, float) and x.is_integer() and abs(x) < 1e15):
+        return int(x)
+    return _rational(sp.nsimplify(x, rational=True))
+
+
 def _not_laurent(value) -> TypeError:
     return TypeError(
         f"coefficient {value} is not a Laurent polynomial in (i, hbar, t, alpha, exp(alpha))"
@@ -93,8 +105,12 @@ def _not_laurent(value) -> TypeError:
 
 
 def _coeff(value) -> dict:
-    """Coefficient dict of an int, a sympy Rational or a sympy expression."""
-    if isinstance(value, int):
+    """Coefficient dict of an int, a Fraction, a coefficient dict, a sympy
+    Rational or a sympy expression."""
+    if isinstance(value, dict):
+        return {key: v for key, v in value.items() if v}
+    if isinstance(value, (int, Fraction)):
+        value = int(value) if value.denominator == 1 else value
         return {_UNIT: value} if value else {}
     if isinstance(value, sp.Rational):
         return {_UNIT: _rational(value)} if value else {}
@@ -185,7 +201,7 @@ class OperatorPoly:
                 self._accumulate(tuple(int(e) for e in key), coeff)
 
     def _accumulate(self, key, coeff):
-        """Add an int, Rational or sympy coefficient at key."""
+        """Add a coefficient at key, in any form _coeff takes."""
         self._add(key, _coeff(coeff))
 
     def _add(self, key, c: dict):
@@ -325,8 +341,7 @@ class OperatorPoly:
         return out
 
     def coefficient(self, key) -> sp.Expr:
-        c = self.terms.get(tuple(key))
-        return _expr(c) if c else sp.Integer(0)
+        return _expr(self.terms.get(tuple(key), {}))
 
     def total_degree(self) -> int:
         return max((sum(k) for k in self.terms), default=0)
@@ -527,11 +542,10 @@ def _require_monomial_exponent(pot: MonomialPotential) -> int:
 
 
 @functools.cache
-def _hamiltonian(pot: MonomialPotential) -> sp.Expr:
-    """H(q, p) = p^2/2 + g q^n / n with g as an exact rational."""
+def _hamiltonian(pot: MonomialPotential) -> tuple:
+    """The terms of H(q, p) = p^2/2 + g q^n / n, g read exactly (see _exact)."""
     n = _require_monomial_exponent(pot)
-    g = sp.nsimplify(pot.g, rational=True)
-    return p_c**2 / 2 + g * q_c**n * sp.Rational(1, n)
+    return ((n, 0, _coeff(Fraction(_exact(pot.g), n))), (0, 2, _HALF))
 
 
 def _divide_by_hbar(x: OperatorPoly) -> OperatorPoly:
@@ -565,8 +579,9 @@ def c_hbar_series(expr, jmax: int) -> OperatorPoly:
         sum_k C(2j+1, k) (-1)^k lq^(2j+1-k) lp^k d_p^(2j+1-k) d_q^k C.
 
     The k-th summand pairs each lq with a d_p and each lp with a -d_q.
-    The derivatives are taken on the exponents of the terms of C."""
-    terms = _qp_terms(expr)
+    The derivatives are taken on the exponents of the terms of C, which
+    may also be given as a tuple (a, b, coeff dict), as by _hamiltonian."""
+    terms = expr if isinstance(expr, tuple) else _qp_terms(expr)
     out = OperatorPoly.zero(KVN)
     for j in range(jmax + 1):
         order = 2 * j + 1
@@ -599,8 +614,8 @@ def build_C_hbar(expr) -> OperatorPoly:
     """Operator version [C(Q, P) - C(Qbar, Pbar)] / hbar of a polynomial
     observable, with symmetric-ordered substitution; equals its own
     odd-derivative series and reduces to the classical vector field of C
-    as hbar -> 0."""
-    terms = _qp_terms(expr)
+    as hbar -> 0. expr may also be a tuple of terms, as for c_hbar_series."""
+    terms = expr if isinstance(expr, tuple) else _qp_terms(expr)
     plain = _weyl_terms(terms, lambda a, b: _weyl_image(a, b, False), KVN)
     barred = _weyl_terms(terms, lambda a, b: _weyl_image(a, b, True), KVN)
     return _divide_by_hbar(plain - barred)
@@ -623,15 +638,14 @@ def lms_quantum_generator(pot: MonomialPotential) -> OperatorPoly:
     q, p, lq, lp = q_op(), p_op(), lq_op(), lp_op()
     if n == 2:
         return lq * q + p * lp
-    cG = build_G(pot)
-    c1 = sp.Rational(1, 2 - n)
-    c2 = sp.Rational(n, 2 * (2 - n))
-    return cG.scale(t_sym) - (lq * q + q * lq).scale(c1) - (lp * p + p * lp).scale(c2)
+    return (build_G(pot)._scaled({(0, 0, 1, 0, 0): 1})
+            - (lq * q + q * lq).scale(Fraction(1, 2 - n))
+            - (lp * p + p * lp).scale(Fraction(n, 2 * (2 - n))))
 
 
 def adjoint_infinitesimal(A: OperatorPoly, X: OperatorPoly) -> OperatorPoly:
     """First-order adjoint X + i alpha [A, X] in the symbol alpha."""
-    return X + commutator(A, X).scale(sp.I * alpha_sym)
+    return X + commutator(A, X)._scaled({(1, 0, 0, 1, 0): 1})
 
 
 @dataclass(frozen=True)
@@ -657,103 +671,86 @@ def leak_detect(x: OperatorPoly) -> LeakReport:
     return LeakReport(converted=conv, barred=barred, leaks=not barred.is_zero())
 
 
-class LinearOpBasis:
-    """Coordinates of an affine-linear operator over (q, p, lq, lp, 1)."""
-
-    BASIS_KEYS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0))
-
-    def __init__(self, coords):
-        self.coords = sp.Matrix([sp.sympify(c) for c in coords])
-
-    @staticmethod
-    def from_poly(x: OperatorPoly) -> "LinearOpBasis":
-        if x.algebra is not KVN:
-            raise ValueError("expected a position-algebra operator")
-        if x.total_degree() > 1:
-            raise NonQuadraticGenerator(f"operator {x} is not affine-linear")
-        return LinearOpBasis([x.coefficient(k) for k in LinearOpBasis.BASIS_KEYS])
-
-    def to_poly(self) -> OperatorPoly:
-        out = OperatorPoly.zero(KVN)
-        for key, coeff in zip(self.BASIS_KEYS, list(self.coords)):
-            if coeff != 0:
-                out._accumulate(key, coeff)
-        return out
+_LINEAR_KEYS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0))
 
 
-def _putzer_step(f: dict, lam) -> dict:
+def _linear_coords(x: OperatorPoly) -> list:
+    """Coefficient dicts of an affine-linear operator over (q, p, lq, lp, 1)."""
+    if x.total_degree() > 1:
+        raise NonQuadraticGenerator(f"operator {x} is not affine-linear")
+    return [x.terms.get(key, {}) for key in _LINEAR_KEYS]
+
+
+def _putzer_step(f: dict, lam: int) -> dict:
     """Solve r' = lam r + f with r(0) = 0 in closed form.
 
-    Functions of s are dicts {(mu, j): c} for sums of c s^j exp(mu s). A
-    term with mu = lam integrates to c s^(j+1)/(j+1) exp(lam s); any other
-    term has the particular solution P(s) exp(mu s) with
+    Functions of s = alpha are ring coefficients, sums of c s^j exp(mu s)
+    at keys (0, 0, 0, j, mu) with rational c. A term with mu = lam
+    integrates to c s^(j+1)/(j+1) exp(lam s); any other term has the
+    particular solution P(s) exp(mu s) with
     P = c sum_i (-1)^i j!/(j-i)! s^(j-i) / d^(i+1), d = mu - lam, and the
     homogeneous part C exp(lam s) sets r(0) = 0."""
     r = {}
-    const = sp.Integer(0)
 
-    def add(key, c):
-        r[key] = r.get(key, 0) + c
+    def add(j, mu, c):
+        r[0, 0, 0, j, mu] = r.get((0, 0, 0, j, mu), 0) + c
 
-    for (mu, j), c in f.items():
+    for (_, _, _, j, mu), c in f.items():
         if mu == lam:
-            add((lam, j + 1), c / (j + 1))
+            add(j + 1, lam, Fraction(c, j + 1))
             continue
-        d = mu - lam
+        d = Fraction(mu - lam)
         for i in range(j + 1):
-            add((mu, j - i), c * (-1) ** i * math.perm(j, i) / d ** (i + 1))
-        const -= c * (-1) ** j * math.factorial(j) / d ** (j + 1)
-    add((lam, 0), const)
-    return r
+            add(j - i, mu, c * (-1) ** i * math.perm(j, i) / d ** (i + 1))
+        add(0, lam, -c * (-1) ** j * math.factorial(j) / d ** (j + 1))
+    return _coeff(r)
 
 
-def _exp_apply(m: sp.Matrix, x: sp.Matrix, s) -> list:
-    """exp(s m) x by Putzer's algorithm (Amer. Math. Monthly 73 (1966) 2).
+def _exp_apply(cols: list, x: list) -> list:
+    """exp(alpha m) x by Putzer's algorithm (Amer. Math. Monthly 73 (1966) 2),
+    for a matrix m given by its columns and a vector x of coefficient dicts.
 
-    exp(s m) = sum_k r_(k+1)(s) P_k with P_0 = 1, P_k = (m - lam_k) P_(k-1)
-    over the eigenvalues lam_1..lam_N with multiplicity, r_1 = exp(lam_1 s)
-    and r_(k+1)' = lam_(k+1) r_(k+1) + r_k, r_(k+1)(0) = 0. Repeated
-    eigenvalues give the s^j exp(mu s) terms of a defective m, so one route
-    covers every matrix whose characteristic polynomial has closed-form
-    roots."""
-    roots = sp.roots(m.charpoly())
-    eigs = [root for root, mult in roots.items() for _ in range(mult)]
-    if len(eigs) != m.rows:
-        raise ValueError(f"no closed-form eigenvalues for {m}")
-    r = {(eigs[0], 0): sp.Integer(1)}
-    v = x
-    total = sp.zeros(m.rows, 1)
-    for k in range(m.rows):
-        if k:
-            v = (m - eigs[k - 1] * sp.eye(m.rows)) * v
-            if v.is_zero_matrix:
-                break
-            r = _putzer_step(r, eigs[k])
-        total += sum(c * s**j * sp.exp(mu * s) for (mu, j), c in r.items()) * v
-    return [sp.expand(c) for c in total]
+    With guesses lam_1..lam_N for the eigenvalues, v_0 = x,
+    v_k = (m - lam_k) v_(k-1), r_1 = exp(lam_1 s) and
+    r_(k+1)' = lam_(k+1) r_(k+1) + r_k, r_(k+1)(0) = 0, the sum
+    y = sum_k r_(k+1) v_k has y(0) = x and y' - m y = -r_K v_K. So y is
+    exp(s m) x exactly once some v_K is 0, whatever the guesses were. The
+    guesses are the rounded eigenvalues of m with every symbol set to 1;
+    repeated ones give the s^j exp(mu s) terms of a defective m. The ring
+    holds exp(k alpha) only for integer k, so a matrix with any other
+    eigenvalue raises the ring's TypeError."""
+    num = [[sum(v * (1j if key[0] else 1) for key, v in c.items()) for c in col] for col in cols]
+    ev = np.linalg.eigvals(np.array(num, dtype=complex))  # those of m transposed
+    total = [{} for _ in x]
+    r, v = {}, x
+    for k, lam in enumerate(round(z.real) for z in ev):
+        r = _putzer_step(r, lam) if k else {(0, 0, 0, 0, lam): 1}
+        for out, c in zip(total, v):
+            _cmul(r, c, out)
+        shift = {_UNIT: -lam} if lam else {}  # _cmul would store a zero entry
+        w = [_cmul(shift, c, {}) for c in v]
+        for col, c in zip(cols, v):
+            for out, mij in zip(w, col):
+                _cmul(mij, c, out)
+        v = w
+        if not any(v):
+            return total
+    raise _not_laurent(f"of exp(alpha m), m with eigenvalues {np.round(ev, 6).tolist()},")
 
 
 def adjoint_finite_quadratic(A: OperatorPoly, X: OperatorPoly) -> OperatorPoly:
     """Exact finite adjoint exp(i alpha A) X exp(-i alpha A) in the symbol alpha.
 
     A must be quadratic so that i[A, .] closes on affine-linear operators;
-    the exponential of the 5x5 matrix of that map is applied in closed form
-    (Putzer's algorithm, see _exp_apply)."""
+    the exponential of the 5x5 matrix of that map, whose columns are the
+    images of (q, p, lq, lp, 1), is applied in closed form on coefficient
+    dicts (Putzer's algorithm, see _exp_apply)."""
+    A._check_same(X)
     if A.total_degree() > 2:
         raise NonQuadraticGenerator(f"generator degree {A.total_degree()} > 2")
-    x_vec = LinearOpBasis.from_poly(X).coords
-    cols = []
-    for key in LinearOpBasis.BASIS_KEYS:
-        basis_op = OperatorPoly(KVN, {key: 1})
-        image = commutator(A, basis_op).scale(sp.I)
-        try:
-            cols.append(LinearOpBasis.from_poly(image).coords)
-        except NonQuadraticGenerator as exc:
-            raise NonQuadraticGenerator(
-                f"i[A, {basis_op}] leaves the affine-linear span"
-            ) from exc
-    m = sp.Matrix.hstack(*cols)
-    return LinearOpBasis(_exp_apply(m, x_vec, alpha_sym)).to_poly()
+    i_a = A._scaled({(1, 0, 0, 0, 0): 1})  # i[A, x] = [iA, x]
+    cols = [_linear_coords(commutator(i_a, OperatorPoly(KVN, {key: 1}))) for key in _LINEAR_KEYS]
+    return OperatorPoly(KVN, dict(zip(_LINEAR_KEYS, _exp_apply(cols, _linear_coords(X)))))
 
 
 @dataclass(frozen=True)
@@ -763,8 +760,8 @@ class NoGoResult:
     alpha_tilde is the common solution when both conditions agree (only at
     n = -2); gap = n/(2-n) + 2/(2-n) is the obstruction otherwise."""
 
-    alpha_tilde: object
-    gap: object
+    alpha_tilde: Fraction | None
+    gap: Fraction
     consistent: bool
 
 
@@ -777,16 +774,19 @@ def no_go_standard_qm(n) -> NoGoResult:
     Both are taken on the unbarred Heisenberg pair of the split basis,
     where (i/hbar) [qhat phat, X] is the exact ring multiple +X for
     X = qhat and -X for X = phat. Each condition is linear in c, so c is
-    its right-hand side over that factor; the two agree only at n = -2."""
-    ns = sp.nsimplify(n, rational=True)
+    its right-hand side over that factor; the two agree only at n = -2.
+    n is read exactly (see _exact), and the results are Fractions."""
+    if not math.isfinite(n):
+        raise UndefinedError("exponent n must be finite")
+    ns = _exact(n)
     if ns == 2:
         raise HarmonicCaseError("n = 2 has its own similarity generator")
     q_key, p_key = (1, 0, 0, 0), (0, 0, 1, 0)
     qh, ph = OperatorPoly(BOPP, {q_key: 1}), OperatorPoly(BOPP, {p_key: 1})
-    qp = qh * ph
-    c_q = (-2 / (2 - ns)) / commutator(qp, qh).scale(sp.I / hbar).coefficient(q_key)
-    c_p = (-ns / (2 - ns)) / commutator(qp, ph).scale(sp.I / hbar).coefficient(p_key)
+    qp, i_over_hbar = qh * ph, {(1, -1, 0, 0, 0): 1}
+    c_q = Fraction(-2) / (2 - ns) / commutator(qp, qh)._scaled(i_over_hbar).terms[q_key][_UNIT]
+    c_p = Fraction(-ns) / (2 - ns) / commutator(qp, ph)._scaled(i_over_hbar).terms[p_key][_UNIT]
     gap = c_p - c_q
     if gap == 0:
-        return NoGoResult(alpha_tilde=c_q, gap=sp.Integer(0), consistent=True)
+        return NoGoResult(alpha_tilde=c_q, gap=gap, consistent=True)
     return NoGoResult(alpha_tilde=None, gap=gap, consistent=False)

@@ -113,13 +113,48 @@ def test_run_imports_nothing_inside_the_run(tmp_path, suite):
     scenario.write_text(json.dumps({"suite": "all", "potential": {"g": 1.0, "n": 4.0}}))
     got = run_child(GUARD, suite, str(scenario), str(tmp_path / "out"), cwd=tmp_path)
     assert got["exit"] == 0
-    # sympy imports a few of its own submodules on first use
-    # (sympy.combinatorics, sympy.tensor); nothing else may load in the run
-    assert [m for m in got["inside"] if not m.startswith("sympy.")] == []
+    assert got["inside"] == []
     assert got["scipy"] == (suite != "opalg")
     assert got["sympy"] == (suite in ("opalg", "all"))
-    if suite == "quantum-leak":
-        assert got["inside"] == []
+
+
+#: Runs the opalg suite with a profile hook on ``cli.run_checks`` and prints
+#: the names of the functions in sympy's files that the run called.
+SYMPY_CALLS = """
+import io, json, os, sys
+from contextlib import redirect_stdout
+import sympy
+from kvnlab import cli
+
+scenario, out = sys.argv[1:]
+root = os.path.dirname(sympy.__file__) + os.sep
+run, called = cli.run_checks, []
+
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code.co_filename.startswith(root):
+        called.append(frame.f_code.co_name)
+
+def profiled(*args, **kwargs):
+    sys.setprofile(profile)
+    try:
+        return run(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+
+cli.run_checks = profiled
+with redirect_stdout(io.StringIO()):
+    code = cli.main(["run", scenario, "--suite", "opalg", "--out", out])
+print(json.dumps({"exit": code, "called": sorted(set(called))}))
+"""
+
+
+def test_opalg_run_calls_no_sympy(tmp_path):
+    # every opalg check computes in the exact ring; sympy only reads and
+    # prints values at the boundary, which no check crosses
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"suite": "opalg", "potential": {"g": 1.0, "n": 4.0}}))
+    got = run_child(SYMPY_CALLS, str(scenario), str(tmp_path / "out"), cwd=tmp_path)
+    assert got == {"exit": 0, "called": []}
 
 
 def test_importing_opalg_builds_no_image(tmp_path):

@@ -19,11 +19,11 @@ from kvnlab.errors import (
     NonPolynomialPotential,
     NonQuadraticGenerator,
     SingularHbarLimit,
+    UndefinedError,
 )
 from kvnlab.opalg import (
     BOPP,
     KVN,
-    LinearOpBasis,
     OperatorPoly,
     adjoint_finite_quadratic,
     adjoint_infinitesimal,
@@ -246,6 +246,16 @@ class TestGeneratorConstruction:
     def test_series_stable_past_termination(self):
         pot = MonomialPotential(1.0, 4.0)
         assert build_series_G(pot, 1).equals(build_series_G(pot, 5))
+
+    @pytest.mark.parametrize("g,expected", [
+        (0.1, sp.Rational(-1, 10)),
+        (1 / 3, sp.Rational(-1, 3)),
+        # sympy's nsimplify keeps 15 significant digits of an integral float
+        (2.0**52 + 1, -4503599627370500),
+        (2.0**60, -1152921504606850000),
+    ])
+    def test_coupling_is_read_exactly(self, g, expected):
+        assert build_G(MonomialPotential(g, 4.0)).coefficient((3, 0, 0, 1)) == expected
 
     def test_fractional_exponent_rejected(self):
         with pytest.raises(NonPolynomialPotential):
@@ -475,17 +485,23 @@ class TestSimilarityGenerator:
             "jordan": lq * q + lq * p + lp * p + lp.scale(3),
         }[name]
         X = q + p.scale(2) - lq + lp.scale(sp.Rational(3, 2)) + OperatorPoly.scalar(KVN, 5)
-        cols = [
-            LinearOpBasis.from_poly(
-                commutator(A, OperatorPoly(KVN, {key: 1})).scale(sp.I)
-            ).coords
-            for key in LinearOpBasis.BASIS_KEYS
-        ]
-        m = sp.Matrix.hstack(*cols)
-        ref = LinearOpBasis(list((alpha_sym * m).exp() * LinearOpBasis.from_poly(X).coords))
+        keys = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0))
+        cols = [commutator(A, OperatorPoly(KVN, {key: 1})).scale(sp.I) for key in keys]
+        m = sp.Matrix([[col.coefficient(key) for col in cols] for key in keys])
+        ref = (alpha_sym * m).exp() * sp.Matrix([X.coefficient(key) for key in keys])
         got = adjoint_finite_quadratic(A, X)
-        assert got.equals(ref.to_poly())
+        assert got.equals(OperatorPoly(KVN, dict(zip(keys, ref))))
         assert all(type(v) in (int, Fraction) for c in got.terms.values() for v in c.values())
+
+    @pytest.mark.parametrize("name", ["rotation", "half"])
+    def test_eigenvalues_outside_the_ring_raise(self, name):
+        # i[A, .] has eigenvalues +-i or +-1/2, so exp(alpha m) needs
+        # exp(+-i alpha) or exp(+-alpha/2), which are not ring coefficients
+        q, p, lq, lp = q_op(), p_op(), lq_op(), lp_op()
+        A = {"rotation": q * lp - p * lq,
+             "half": (lq * q + q * lq).scale(sp.Rational(1, 4))}[name]
+        with pytest.raises(TypeError, match="Laurent"):
+            adjoint_finite_quadratic(A, q + p.scale(2) - lq)
 
     def test_nonquadratic_generator_rejected(self):
         quart = lms_quantum_generator(MonomialPotential(1.0, 4.0))
@@ -494,16 +510,11 @@ class TestSimilarityGenerator:
 
 
 class TestLinearBasis:
-    def test_roundtrip(self):
-        q, p, lq, lp = q_op(), p_op(), lq_op(), lp_op()
-        x = q.scale(2) + p.scale(-3) + lq + lp.scale(sp.I) + OperatorPoly.scalar(
-            KVN, sp.Rational(1, 2)
-        )
-        assert LinearOpBasis.from_poly(x).to_poly().equals(x)
-
     def test_rejects_quadratic(self):
+        # the finite adjoint acts on the affine-linear span of (q, p, lq, lp, 1)
+        harm = lms_quantum_generator(MonomialPotential(1.0, 2.0))
         with pytest.raises(NonQuadraticGenerator):
-            LinearOpBasis.from_poly(q_op() * q_op())
+            adjoint_finite_quadratic(harm, q_op() * q_op())
 
 
 class TestNoGo:
@@ -513,7 +524,7 @@ class TestNoGo:
         assert res.gap == 0
         assert sp.simplify(res.alpha_tilde - sp.Rational(-1, 2)) == 0
 
-    @pytest.mark.parametrize("n,gap", [(1, 3), (3, -5), (4, -3)])
+    @pytest.mark.parametrize("n,gap", [(1, 3), (3, -5), (4, -3), (2.5, -9)])
     def test_generic_exponents_obstructed(self, n, gap):
         res = no_go_standard_qm(n)
         assert not res.consistent
@@ -523,3 +534,15 @@ class TestNoGo:
     def test_harmonic_not_covered(self):
         with pytest.raises(HarmonicCaseError):
             no_go_standard_qm(2)
+
+    @pytest.mark.parametrize("n", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_exponent_rejected(self, n):
+        with pytest.raises(UndefinedError, match="finite"):
+            no_go_standard_qm(n)
+
+    def test_printed_values_are_the_report_strings(self):
+        # the op-no-go check of the report records str(gap) and str(alpha_tilde)
+        got = {n: (str(res.gap), str(res.alpha_tilde))
+               for n in (-2, 1, 3, 4) for res in [no_go_standard_qm(float(n))]}
+        assert got == {-2: ("0", "-1/2"), 1: ("3", "None"), 3: ("-5", "None"),
+                       4: ("-3", "None")}
