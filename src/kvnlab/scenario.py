@@ -25,6 +25,22 @@ SUITES = (
 )
 
 _NONZERO_NUMBER = {"type": "number", "not": {"enum": [0, 0.0]}}
+_POSITIVE_NUMBER = {"type": "number", "exclusiveMinimum": 0}
+
+DEFAULT_LMS_ALPHA = 1.3
+DEFAULT_GRID = {"count": 128, "extent": 8.0, "hbar": 0.5}
+DEFAULT_TOLERANCES = {
+    "charge_drift": 1e-7,
+    "tower_drift": 1e-6,
+    "solution_map": 1e-6,
+    "action_exponent": 1e-4,
+    "schmidt_separable": 1e-8,
+    "schmidt_mixed": 1e-3,
+    "bohr_levels": 1e-8,
+    "trajectory_match": 1e-7,
+    "spectrum_scaling": 1e-3,
+}
+DEFAULT_SEED = 0
 
 SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -50,7 +66,7 @@ SCHEMA = {
             "additionalProperties": False,
             "maxProperties": 1,
             "properties": {
-                "alpha": {"type": "number", "exclusiveMinimum": 0},
+                "alpha": _POSITIVE_NUMBER,
                 "beta": {"type": "number"},
             },
         },
@@ -59,44 +75,19 @@ SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "count": {"type": "integer", "minimum": 2},
-                "extent": {"type": "number", "exclusiveMinimum": 0},
-                "hbar": {"type": "number", "exclusiveMinimum": 0},
+                "extent": _POSITIVE_NUMBER,
+                "hbar": _POSITIVE_NUMBER,
             },
         },
         "tolerances": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {
-                "charge_drift": {"type": "number", "exclusiveMinimum": 0},
-                "tower_drift": {"type": "number", "exclusiveMinimum": 0},
-                "solution_map": {"type": "number", "exclusiveMinimum": 0},
-                "action_exponent": {"type": "number", "exclusiveMinimum": 0},
-                "schmidt_separable": {"type": "number", "exclusiveMinimum": 0},
-                "schmidt_mixed": {"type": "number", "exclusiveMinimum": 0},
-                "bohr_levels": {"type": "number", "exclusiveMinimum": 0},
-                "trajectory_match": {"type": "number", "exclusiveMinimum": 0},
-                "spectrum_scaling": {"type": "number", "exclusiveMinimum": 0},
-            },
+            "properties": {name: _POSITIVE_NUMBER for name in DEFAULT_TOLERANCES},
         },
         "seed": {"type": "integer", "minimum": 0},
         "out_dir": {"type": "string", "minLength": 1},
     },
 }
-
-DEFAULT_LMS_ALPHA = 1.3
-DEFAULT_GRID = {"count": 128, "extent": 8.0, "hbar": 0.5}
-DEFAULT_TOLERANCES = {
-    "charge_drift": 1e-7,
-    "tower_drift": 1e-6,
-    "solution_map": 1e-6,
-    "action_exponent": 1e-4,
-    "schmidt_separable": 1e-8,
-    "schmidt_mixed": 1e-3,
-    "bohr_levels": 1e-8,
-    "trajectory_match": 1e-7,
-    "spectrum_scaling": 1e-3,
-}
-DEFAULT_SEED = 0
 
 
 def validate_scenario(obj) -> dict:

@@ -3,18 +3,19 @@
 The loop action J(E) = 2 * integral sqrt(2(E - V)) dq between turning
 points obeys J(alpha^n E) = alpha^(1+n/2) J(E) under the similarity
 rescale, so quantized levels J = (k + 1/2) 2 pi hbar are not mapped to
-levels unless 1 + n/2 = 0. Separately, the rescaled Lagrangian gamma*L
-yields H_gamma = p_gamma^2 / (2 gamma) + gamma V (mass 1 scaled by gamma)
-with identical q(t) but gamma-dependent spectra (except the harmonic
-case, whose frequency is gamma-free while its eigenfunction widths are
-not).
+levels unless 1 + n/2 = 0. The same law places the turning points and
+inverts the quantization rule in closed form; J(E) itself is left to the
+quadrature that the checks measure. Separately, the rescaled Lagrangian
+gamma*L yields H_gamma = p_gamma^2 / (2 gamma) + gamma V (mass 1 scaled
+by gamma) with identical q(t) but gamma-dependent spectra (except the
+harmonic case, whose frequency is gamma-free while its eigenfunction
+widths are not).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -25,7 +26,6 @@ from .core import LmsParams, MonomialPotential, PhasePoint
 from .dynamics import guarded_solve, sample_times
 from .errors import ConvergenceFailure, NoBoundOrbit, RangeExhausted
 
-TURNING_TOL = 1e-12
 #: Sample spacing of the side-by-side Newton-equivalent trajectories.
 NEWTON_EQUIV_DT = 0.01
 
@@ -39,52 +39,17 @@ def _bound_orbit_exponent(pot: MonomialPotential) -> int:
     )
 
 
-def _solve_increasing(f, target: float, rtol: float, what: str) -> float:
-    """Root of f(x) = target for f increasing on x >= 0, by bisection.
-
-    hi doubles from 1 until f(hi) > target; then [0, hi] is halved until
-    its width is at most rtol * max(1, hi), and the midpoint is returned.
-    f increases, so an overflow (OverflowError or +inf) counts as above
-    target. A NaN raises RangeExhausted, and so does a root that lies past
-    the point where f overflows, naming the last x where f was finite."""
-
-    def value(x):
-        try:
-            v = f(x)
-        except OverflowError:
-            return math.inf
-        if math.isnan(v):
-            raise RangeExhausted(f"could not bracket {what}: f({x!r}) is NaN")
-        return v
-
-    hi = 1.0
-    for _ in range(600):
-        if value(hi) > target:
-            break
-        hi *= 2.0
-    else:
-        raise RangeExhausted(f"could not bracket {what}")
-    lo = 0.0
-    while hi - lo > rtol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if value(mid) > target:
-            hi = mid
-        else:
-            lo = mid
-    if value(hi) == math.inf:
-        raise RangeExhausted(f"could not bracket {what}: f is finite only up to {lo!r}")
-    return 0.5 * (lo + hi)
-
-
 def turning_points(pot: MonomialPotential, E: float) -> tuple[float, float]:
-    """Turning pair (q-, q+) with V(q+-) = E, found by bisection.
+    """Turning pair (q-, q+) with V(q+-) = E, from the similarity law.
 
     Defined for confining even monomials (g > 0, even integer n >= 2),
-    where the well is symmetric and q- = -q+."""
-    _bound_orbit_exponent(pot)
+    where the well is symmetric and q- = -q+. Rescaling q by alpha takes
+    E to alpha^n E, so q+ = (n/g)^(1/n) * E^(1/n); taken apart like this,
+    n E / g cannot overflow."""
+    n = _bound_orbit_exponent(pot)
     if not 0.0 < E < math.inf:
         raise NoBoundOrbit(f"E={E!r} is not a finite energy above the well minimum V(0) = 0")
-    qp = _solve_increasing(pot.value, E, TURNING_TOL, "the turning point")
+    qp = (n / pot.g) ** (1.0 / n) * E ** (1.0 / n)
     return -qp, qp
 
 
@@ -110,16 +75,20 @@ def action_integral(pot: MonomialPotential, E: float) -> float:
 
 
 def bohr_levels(pot: MonomialPotential, hbar: float, count: int) -> np.ndarray:
-    """Lowest `count` energies solving J(E) = (k + 1/2) * 2 pi hbar."""
+    """Lowest `count` energies solving J(E) = (k + 1/2) * 2 pi hbar.
+
+    The similarity law gives J(E) = J(1) E^(1/2 + 1/n), so one quadrature
+    of J(1) yields every level as ((k + 1/2) 2 pi hbar / J(1))^(2n/(n+2))."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if not 0.0 < hbar < math.inf:
         raise ValueError(f"hbar must be finite and positive, got {hbar!r}")
-    action = partial(action_integral, pot)
-    return np.array([
-        _solve_increasing(action, (k + 0.5) * 2.0 * math.pi * hbar, 1e-13, "the quantized energy")
-        for k in range(count)
-    ])
+    n = _bound_orbit_exponent(pot)
+    quanta = (np.arange(count) + 0.5) * (2.0 * math.pi * hbar)
+    levels = (quanta / action_integral(pot, 1.0)) ** (2.0 * n / (n + 2.0))
+    if not np.all(np.isfinite(levels)):
+        raise RangeExhausted(f"quantized energy {float(levels[-1])!r} is not finite")
+    return levels
 
 
 @dataclass(frozen=True)

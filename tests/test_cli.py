@@ -272,8 +272,8 @@ class TestCheckExecutor:
         assert (second.check_id, second.verdict, second.measured) == (
             "x-next", "pass", {"gap": 0.1})
 
-    def run_errored(self, tmp_path, capsys, suite, g, n):
-        sc = write_scenario(tmp_path, {"suite": suite, "potential": {"g": g, "n": n}})
+    def run_errored(self, tmp_path, capsys, suite, g, n, **extra):
+        sc = write_scenario(tmp_path, {"suite": suite, "potential": {"g": g, "n": n}, **extra})
         proc = run_main(["run", str(sc), "--out", str(tmp_path / "rep")], capsys)
         assert proc.returncode == 3, proc.stderr
         rep = json.loads((tmp_path / "rep" / "report.json").read_text())
@@ -298,6 +298,15 @@ class TestCheckExecutor:
         assert sorted(errors) == ["dyn-energy-drift", "dyn-tangent-pairing"]
         assert all(m.startswith("StepFailure: ") for m in errors.values())
         assert others == {"dyn-flow-composition": "pass", "dyn-harmonic-return": "pass"}
+
+    def test_overflowing_levels_are_an_error_in_a_written_report(self, tmp_path, capsys):
+        # at hbar = 1e308 every quantized energy overflows; the report must
+        # still be written, so no level may reach it as a non-finite float
+        errors, others = self.run_errored(tmp_path, capsys, "bohr", 1.0, 4.0,
+                                          grid={"hbar": 1e308})
+        assert list(errors) == ["bohr-harmonic-levels"]
+        assert errors["bohr-harmonic-levels"].startswith("RangeExhausted: ")
+        assert others and set(others.values()) == {"pass"}
 
 
 class TestSolutionMapGrid:

@@ -8,9 +8,8 @@ from scipy.special import beta
 
 from kvnlab.core import ExtendedPoint, MonomialPotential, PhasePoint, lms_params_from_alpha
 from kvnlab.dynamics import characteristic_time
-from kvnlab.errors import NoBoundOrbit, RangeExhausted, SingularityAbort
+from kvnlab.errors import NoBoundOrbit, SingularityAbort
 from kvnlab.semiclassics import (
-    TURNING_TOL,
     action_integral,
     bohr_levels,
     eigensolve_newton_equiv,
@@ -56,19 +55,13 @@ class TestBadInputs:
         with pytest.raises(NoBoundOrbit):
             turning_points(QUARTIC, E)
 
-    def test_overflowing_bracket_is_range_exhausted(self):
-        # V(q) = q^4/4 overflows Python float pow at q = 2^256, before it
-        # reaches E; the bracket search must not escape as OverflowError
-        with pytest.raises(RangeExhausted, match="finite only up to"):
-            turning_points(QUARTIC, 1e308)
-
-    def test_bracket_reaches_a_root_below_the_overflow(self):
-        # the root (4E)^(1/4) = 7.95e76 lies below 2^256, where q^4 first
-        # overflows; an overflow is above any finite target, so it brackets
-        lo, hi = turning_points(QUARTIC, 1e307)
-        assert hi == pytest.approx(7.9527e76, rel=1e-4)
+    @pytest.mark.parametrize("E", [1e-300, 1e307, 1e308, 1.7e308])
+    def test_turning_point_up_to_the_float_limit(self, E):
+        # q+ = (4E)^(1/4) at every finite energy; V(q+) itself is not
+        # evaluated, because q^4 overflows above E ~ 4.5e307
+        lo, hi = turning_points(QUARTIC, E)
         assert lo == -hi
-        assert QUARTIC.value(hi) == pytest.approx(1e307, rel=TURNING_TOL, abs=0.0)
+        assert (hi / E**0.25) ** 4 == pytest.approx(4.0, rel=1e-15)
 
     @pytest.mark.parametrize("hbar", [-1.0, 0.0, math.inf, math.nan])
     def test_bohr_levels_need_a_positive_hbar(self, hbar):
@@ -91,8 +84,8 @@ def _closed_action(n, E):
 
 class TestClosedFormOracles:
     """Period, loop action and Bohr levels of V = q^n/n against Beta-function
-    closed forms, which share no code with the probe, the quadrature or the
-    bisection they check."""
+    closed forms, which share no code with the probe or the quadrature they
+    check."""
 
     @staticmethod
     def _period(pot, q0):
@@ -165,13 +158,18 @@ class TestBohrLevels:
         # E_k = (k + 1/2) hbar omega with omega = 2
         assert np.max(np.abs(levels - (np.arange(4) + 0.5) * hbar * 2.0)) < 1e-8
 
-    def test_quartic_levels_monotone_and_quantized(self):
-        hbar = 1.0
-        levels = bohr_levels(QUARTIC, hbar, 5)
+    @pytest.mark.parametrize("g, n, hbar", [
+        (1.0, 4.0, 1.0), (1.0, 6.0, 0.5), (2.5, 4.0, 0.3), (4.0, 2.0, 0.5), (0.3, 8.0, 1.0),
+    ])
+    def test_quartic_levels_monotone_and_quantized(self, g, n, hbar):
+        # the levels come from the similarity law and one quadrature at
+        # E = 1; the quadrature at each level checks the law
+        pot = MonomialPotential(g, n)
+        levels = bohr_levels(pot, hbar, 5)
         assert np.all(np.diff(levels) > 0)
         for k, E in enumerate(levels):
-            j = action_integral(QUARTIC, float(E))
-            assert j / (2.0 * math.pi * hbar) == pytest.approx(k + 0.5, abs=1e-8)
+            j = action_integral(pot, float(E))
+            assert j / (2.0 * math.pi * hbar) == pytest.approx(k + 0.5, abs=1e-14)
 
 
 class TestBohrViolation:
