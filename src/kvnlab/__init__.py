@@ -3,7 +3,8 @@ classical phase space, its operator algebra, and its quantum obstructions.
 
 The public names are loaded from their submodules on first access (PEP
 562), so ``import kvnlab`` imports neither scipy nor sympy: ``opalg`` loads
-sympy, and ``dynamics`` and the modules built on it load scipy.
+sympy, ``dynamics`` and ``charges`` need numpy alone, and the quadrature,
+spectral and grid modules load scipy.
 """
 
 import importlib

@@ -68,9 +68,8 @@ class MonomialPotential:
         self._require(q)
         return self.force(q), self.curvature(q)
 
-    # The unchecked pair below is for right-hand sides: DOP853 trial stages
-    # may step outside the domain, which must give a NaN and a rejected step
-    # rather than an exception.
+    # The unchecked pair below gives a NaN outside the domain rather than an
+    # exception, for callers that have checked the domain already.
 
     def force(self, q):
         """V'(q) = g q**(n-1), without the domain check."""
@@ -92,9 +91,8 @@ def _power(q, e: float):
     over ten times as much. So for an array and an integral e the power is
     taken of |q| and the sign restored for odd e, which keeps the signed
     zeros and infinities and stays within 1 ulp of the scalar power.
-    Scalars, the np.float64s a right-hand side unpacks included, and
-    non-integral e keep the literal ``q ** e``: libm pow, whose bits the
-    DOP853 trajectories are pinned to, and a NaN for a negative base."""
+    Scalars and non-integral e keep the literal ``q ** e``: libm pow, and a
+    NaN for a negative base."""
     if isinstance(q, np.ndarray) and float(e).is_integer():
         r = np.abs(q) ** e
         return np.copysign(r, q) if e % 2 else r

@@ -9,27 +9,47 @@ The generator of motion couples the auxiliary pair to the classical one:
 
 so the (q, p) block is ordinary Newtonian motion for unit mass while the
 (lq, lp) block is transported by the (negative transpose) linearized flow.
-V' and V'' come from the potential's array-capable force law. Every
-integration in the package, here and in :mod:`kvnlab.semiclassics`, goes
-through :func:`guarded_solve`: one adaptive DOP853 run with local error
-control and one domain guard. Trajectories are sampled on a uniform output
-grid for downstream quadrature.
+
+Every trajectory in the package, here and in :mod:`kvnlab.semiclassics`,
+is integrated by one Taylor-series kernel, :func:`_taylor_steps`. For
+V = g q^n / n the Taylor coefficients of the solution follow from a
+recurrence: Cauchy products give the powers of q for integer n >= 1, and
+J.C.P. Miller's power rule gives them for every other n, where the domain
+q > 0 keeps q_0 away from zero. Each step's size comes from the last two
+coefficients (Jorba & Zou, Exp. Math. 14 (2005) 99), and the step's own
+polynomial gives the output samples and locates events, so samples cost no
+extra steps. The kernel holds the one domain guard: where V is defined on
+q > 0 only, a position below RMIN at a step end or a sample raises
+SingularityAbort. A step size that collapses to roundoff, or a series that
+overflows, is a finite-time blow-up and raises StepFailure.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .core import ExtendedPoint, MonomialPotential, PhasePoint
+from .core import ExtendedPoint, MonomialPotential, PhasePoint, _is_positive_integer
 from .errors import DomainError, SingularityAbort, StepFailure
 
-_METHOD = "DOP853"
-#: Relative and absolute local error target of every DOP853 run.
-TOL = 1e-12
+#: Truncation target of a step: the last two Taylor terms stay below
+#: TOL * max(1, |state|).
+TOL = 1e-16
+#: Polynomial order of a single trajectory's steps. Its cost is numpy's
+#: per-call overhead, about the same for every order, so a high order that
+#: buys long steps is cheapest.
+ORDER = 28
+#: Polynomial order of a batch's steps: with thousands of lanes the
+#: arithmetic dominates, which Jorba & Zou's optimum ceil(1 - ln(TOL)/2)
+#: minimises.
+BATCH_ORDER = 20
+#: Lanes of a batch that share one step: the steepest lane of a block sets
+#: its step, so smaller blocks spend fewer steps on gentle lanes, and
+#: larger ones less per-step overhead.
+BLOCK = 4096
 #: Guard radius: where V is defined on q > 0 only, positions stay above it.
 RMIN = 1e-6
 
@@ -56,13 +76,16 @@ class ExtendedTrajectory:
         return ExtendedPoint.from_array(self.states[i])
 
 
+def _guarded(pot: MonomialPotential) -> bool:
+    """Whether V lives on q > 0 only, so that positions must stay above RMIN."""
+    return not pot.admissible(-1.0)
+
+
 def eom_rhs(x: ExtendedPoint, pot: MonomialPotential):
     """Right-hand side (dq, dp, dlq, dlp) at a single extended point."""
-    y = x.as_array()
-    guard = _guard(pot)
-    if not pot.admissible(x.q) or (guard is not None and guard(0.0, y) < 0.0):
+    if not pot.admissible(x.q) or (_guarded(pot) and x.q < RMIN):
         raise DomainError(f"q={x.q!r} outside the domain or guard radius {RMIN!r}")
-    return np.array(_rhs_extended(pot)(0.0, y))
+    return np.array([x.p, -pot.force(x.q), x.lp * pot.curvature(x.q), -x.lq])
 
 
 def energy(x, pot: MonomialPotential):
@@ -70,62 +93,147 @@ def energy(x, pot: MonomialPotential):
     return 0.5 * x.p**2 + pot.value(x.q)
 
 
-def _rhs_extended(pot):
-    force, curvature = pot.force, pot.curvature
-
-    def rhs(t, y):
-        q, p, lq, lp = y
-        return (p, -force(q), lp * curvature(q), -lq)
-
-    return rhs
+def _lane_dot(a, b):
+    return np.einsum("il,i...l->...l", a, b)
 
 
-def _guard(pot, npos=1):
-    """The one domain guard, as a terminal event on the smallest position.
-
-    Where V is defined on q > 0 only, positions must stay above RMIN; where
-    V is defined everywhere there is no guard and None is returned.
-    """
-    if pot.admissible(-1.0):
-        return None
-
-    def hit(t, y):
-        return y[:npos].min() - RMIN
-
-    hit.terminal = True
-    hit.direction = -1
-    return hit
+@functools.lru_cache(maxsize=None)
+def _miller_weights(n: float, order: int) -> np.ndarray:
+    """Row k - 1 holds ((n-1) j - k) / k for j = 1..k: the weights of
+    Miller's rule u_k = sum_j w_kj q_j u_(k-j) / q_0 for u = q^(n-2)."""
+    k = np.arange(1, order)[:, None]
+    return ((n - 1.0) * np.arange(1, order) - k) / k
 
 
-def guarded_solve(rhs, y0, T, pot, t_eval=None, events=(), npos=1,
-                  stop_at_guard=False):
-    """Integrate rhs from y0 over [0, T] with DOP853 under the domain guard.
+def _coefficients(pot: MonomialPotential, y, order: int, mass: float):
+    """Taylor coefficients c[k] of the solution through y, c[0] = y.
 
-    The first ``npos`` state components are positions; they must start in
-    the domain of ``pot``. A guard hit raises SingularityAbort unless
-    ``stop_at_guard`` is set, in which case the run just ends there.
-    """
-    y0 = np.asarray(y0, dtype=float)
-    if not np.all(pot.admissible(y0[:npos])):
-        q0 = float(y0[:npos].min())
-        raise DomainError(f"initial q={q0!r} outside the potential domain")
-    guard = _guard(pot, npos)
-    events = list(events) + ([guard] if guard is not None else [])
-    sol = solve_ivp(
-        rhs,
-        (0.0, T),
-        y0,
-        method=_METHOD,
-        rtol=TOL,
-        atol=TOL,
-        t_eval=t_eval,
-        events=events or None,  # an empty list still costs a search per step
-    )
-    if not sol.success:
-        raise StepFailure(sol.message)
-    if guard is not None and sol.t_events[-1].size and not stop_at_guard:
-        raise SingularityAbort("trajectory entered the guard radius")
-    return sol
+    y holds the rows q, p and, with four rows, lq, lp; a trailing axis
+    holds lanes. The system is dq/dt = p / mass, dp/dt = -mass V'(q), and
+    the auxiliary pair as in the module docstring. With u = q^(n-2), the
+    rows (q, lp) move by (p / mass, -lq) and the rows (p, lq) by
+    (-mass g, g (n-1)) times (q, lp) u, so one sum per order gives both."""
+    g, n = pot.g, pot.n
+    c = np.empty((order + 1,) + y.shape)
+    c[0] = y
+    q, pair = c[:, 0], len(y) // 2
+    lanes = (1,) * (y.ndim - 1)
+    per_order = np.arange(1.0, order + 1).reshape((order, 1) + lanes)
+    drift = np.array([1.0 / mass, -1.0])[:pair].reshape((pair,) + lanes) / per_order
+    kick = np.array([-mass * g, g * (n - 1.0)])[:pair].reshape((pair,) + lanes) / per_order
+    # sums over the first axis of a * b: the coefficient sums of the recurrence
+    dot = np.dot if y.ndim == 1 else _lane_dot
+    integral = _is_positive_integer(n)
+    if n == 1.0:
+        # V' = g is constant and V'' = 0: (q, lp) u is 1, 0, 0, ...
+        unit = np.zeros((order,) + c[0, ::3].shape)
+        unit[0] = 1.0
+    elif n == 2.0:
+        u = np.zeros_like(q)
+        u[0] = 1.0
+        powers = ()
+    elif integral:
+        # powers[j - 1] = q^j by Cauchy products, up to u = q^(n-2)
+        powers = [q] + [np.empty_like(q) for _ in range(int(n) - 3)]
+        u = powers[-1]
+    else:
+        u = np.empty_like(q)
+        u[0] = q[0] ** (n - 2.0)
+        weights = _miller_weights(n, order)
+    for k in range(order):
+        if n == 1.0:
+            forced = unit[k]
+        else:
+            if integral:
+                for j in range(1, len(powers)):
+                    powers[j][k] = dot(q[:k + 1], powers[j - 1][k::-1])
+            elif k:
+                u[k] = np.dot(weights[k - 1, :k], q[1:k + 1] * u[k - 1::-1]) / q[0]
+            forced = dot(u[k::-1], c[:k + 1, ::3])
+        c[k + 1, ::3] = c[k, 1:3] * drift[k]
+        c[k + 1, 1:3] = forced * kick[k]
+    return c
+
+
+def _step_sizes(c):
+    """Largest step, per lane, whose last two Taylor terms stay below the
+    target in every component: inf where they vanish, as for a polynomial
+    solution, and 0 where the series is not finite."""
+    k = len(c) - 1
+    scale = TOL * np.maximum(1.0, np.abs(c[0]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.minimum((scale / np.abs(c[k - 1])) ** (1.0 / (k - 1)),
+                       (scale / np.abs(c[k])) ** (1.0 / k)).min(axis=0)
+    return np.atleast_1d(np.where(np.isfinite(c).all(axis=(0, 1)), h, 0.0))
+
+
+def _poly(c, tau):
+    """The step polynomial sum_k c[k] tau^k, for a scalar tau.
+
+    The increment over c[0] is summed apart, so c[0] is rounded once."""
+    rest = c[1:].reshape(len(c) - 1, -1)
+    return c[0] + np.dot(tau ** np.arange(1, len(c)), rest).reshape(c.shape[1:])
+
+
+def _taylor_steps(pot: MonomialPotential, y0, T: float, order: int = ORDER,
+                  mass: float = 1.0):
+    """Advance y0 from t = 0 to T (either sign), one Taylor step at a time.
+
+    Yields (t, h, c, y) per step: its start, its signed size, its
+    coefficients and the state at its end, where the last step ends at T
+    exactly. All lanes of y0 share every step. Raises DomainError for a
+    start outside the domain, SingularityAbort when a position of a guarded
+    potential ends a step below RMIN, and when the step size falls to
+    roundoff (or the series stops being finite) raises SingularityAbort if
+    the steepest lane moves toward a singular origin, else StepFailure."""
+    y = np.array(y0, dtype=float)
+    if not np.all(pot.admissible(y[0])):
+        raise DomainError(f"initial q={float(np.min(y[0]))!r} outside the potential domain")
+    guarded, t = _guarded(pot), 0.0
+    while t != T:
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = _coefficients(pot, y, order, mass)
+        sizes = _step_sizes(c)
+        lane = int(np.argmin(sizes))
+        h = math.copysign(min(float(sizes[lane]), abs(T - t)), T)
+        last = abs(h) == abs(T - t)
+        if not last and abs(h) <= 10.0 * math.ulp(t):
+            # the series' radius collapsed: the orbit falls into a singular
+            # origin, or leaves every bound, in finite time
+            if guarded and np.atleast_1d(y[1])[lane] * T < 0.0:
+                raise SingularityAbort(f"trajectory fell into the singular origin near t={t!r}")
+            raise StepFailure(f"step size fell to {abs(h):.3g} at t={t!r}: the orbit "
+                              "leaves every bound in finite time")
+        y = _poly(c, h)
+        if guarded and np.min(y[0]) < RMIN:
+            raise SingularityAbort(f"trajectory entered the guard radius near t={t + h!r}")
+        yield t, h, c, y
+        t = T if last else t + h
+
+
+def sampled_flow(pot: MonomialPotential, y0, T: float, dt: float, mass: float = 1.0):
+    """Integrate y0 = (q, p) or (q, p, lq, lp) over [0, T] (T may be negative).
+
+    Returns the times sample_times(T, dt) and the states there, one row
+    per sample, evaluated on the polynomial of the step that holds each
+    sample. The system is dq/dt = p / mass, dp/dt = -mass V'(q) with the
+    auxiliary pair as in the module docstring."""
+    if T == 0:
+        raise ValueError("horizon T must be nonzero")
+    times = sample_times(T, dt)
+    starts, coeffs = [], []
+    for t, _, c, _ in _taylor_steps(pot, y0, T, mass=mass):
+        starts.append(t)
+        coeffs.append(c)
+    sign = math.copysign(1.0, T)
+    step = np.searchsorted(sign * np.array(starts), sign * times, side="right") - 1
+    tau = times - np.array(starts)[step]
+    coeffs = np.array(coeffs)[step]
+    powers = tau[:, None] ** np.arange(1, coeffs.shape[1])
+    states = coeffs[:, 0] + np.einsum("sk,skd->sd", powers, coeffs[:, 1:])
+    if _guarded(pot) and states[:, 0].min() < RMIN:
+        raise SingularityAbort("trajectory entered the guard radius between step ends")
+    return times, states
 
 
 def sample_times(T: float, dt: float) -> np.ndarray:
@@ -146,12 +254,8 @@ def integrate(
 ) -> ExtendedTrajectory:
     """Integrate the extended system over [0, T] (T may be negative),
     sampled every dt on the uniform grid sample_times(T, dt)."""
-    if T == 0:
-        raise ValueError("horizon T must be nonzero")
-    sol = guarded_solve(
-        _rhs_extended(pot), x0.as_array(), T, pot, t_eval=sample_times(T, dt)
-    )
-    return ExtendedTrajectory(times=sol.t, states=sol.y.T.copy())
+    times, states = sampled_flow(pot, x0.as_array(), T, dt)
+    return ExtendedTrajectory(times=times, states=states)
 
 
 def flow_map(x0: PhasePoint, pot: MonomialPotential, t: float) -> PhasePoint:
@@ -165,52 +269,77 @@ def flow_map(x0: PhasePoint, pot: MonomialPotential, t: float) -> PhasePoint:
 def flow_map_batch(qs, ps, pot: MonomialPotential, t: float):
     """Vectorized classical flow for arrays of initial (q, p) pairs.
 
-    All characteristics are advanced as one stacked system, so the adaptive
-    step and the domain guard (on the smallest q) are shared.
-    """
+    The characteristics advance in blocks of BLOCK lanes; the lanes of a
+    block share every step and the domain guard."""
     qs = np.asarray(qs, dtype=float).ravel()
     ps = np.asarray(ps, dtype=float).ravel()
+    out = np.stack([qs, ps])
     if t == 0:
-        return qs.copy(), ps.copy()
-    m = qs.size
+        return out[0], out[1]
+    for lo in range(0, qs.size, BLOCK):
+        block = out[:, lo:lo + BLOCK]
+        for *_, y in _taylor_steps(pot, block, t, order=BATCH_ORDER):
+            pass
+        block[:] = y
+    return out[0], out[1]
 
-    def rhs(s, y):
-        return np.concatenate([y[m:], -pot.force(y[:m])])
 
-    sol = guarded_solve(rhs, np.concatenate([qs, ps]), t, pot, t_eval=[t], npos=m)
-    out = sol.y[:, -1]
-    return out[:m].copy(), out[m:].copy()
+def _root(c, h: float) -> float:
+    """Zero of the step polynomial c between 0 and h, where it changes sign:
+    Newton's method, kept inside the bracket by bisection."""
+    dc = c[1:] * np.arange(1, len(c))
+    lo, hi, f_lo = 0.0, h, c[0]
+    tau = 0.5 * h
+    for _ in range(100):
+        f = _poly(c, tau)
+        if f == 0.0:
+            return tau
+        if (f < 0.0) == (f_lo < 0.0):
+            lo, f_lo = tau, f
+        else:
+            hi = tau
+        step = f / _poly(dc, tau)
+        nxt = tau - step
+        if not min(lo, hi) < nxt < max(lo, hi):
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - tau) <= 4.0 * math.ulp(nxt):
+            return nxt
+        tau = nxt
+    return tau
 
 
 def characteristic_time(pot: MonomialPotential, x0: ExtendedPoint) -> float:
     """Estimate a natural time scale for the orbit through x0.
 
     Harmonic wells have the closed-form period 2*pi/sqrt(g). Otherwise a
-    probe run over 20 time units detects p = 0 turning events: two
-    consecutive events span a half cycle, a single event doubles the time
-    to turning, and monotone escape falls back to the crossing scale
-    |q0/p0| (1 when p0 = 0). The probe run carries
-    an escape guard so finite-time blowup of steep monomials cannot stall
-    the estimate.
+    probe run over 20 time units looks for turning points, sign changes
+    of p between step ends located on the step polynomial: two consecutive
+    ones span a half cycle, and a single one doubles the time to turning.
+    The probe stops where |q| escapes past 1e3 (1 + |q0|), so finite-time
+    blowup of steep monomials cannot stall it; an escape with no turning
+    point gives the escape time. A monotone orbit that neither turns nor
+    escapes (or that reaches the guard radius) falls back to the crossing
+    scale |q0/p0|, doubled (1 when p0 = 0).
     """
     if pot.n == 2.0 and pot.g > 0:
         return 2.0 * math.pi / math.sqrt(pot.g)
-
-    def turning(t, y):
-        return y[1]
-
-    def escape(t, y):
-        return abs(y[0]) - 1e3 * (1.0 + abs(x0.q))
-
-    escape.terminal = True
-    sol = guarded_solve(
-        _rhs_extended(pot), x0.as_array(), 20.0, pot,
-        events=[turning, escape], stop_at_guard=True,
-    )
-    hits = [t for t in sol.t_events[0] if t > 1e-9]
-    if len(hits) >= 2:
-        return 2.0 * (hits[1] - hits[0])
-    if len(hits) == 1:
+    bound = 1e3 * (1.0 + abs(x0.q))
+    hits = []
+    try:
+        for t, h, c, y in _taylor_steps(pot, x0.as_array(), 20.0):
+            if c[0, 1] * y[1] < 0.0 or (y[1] == 0.0 and c[0, 1] != 0.0):
+                hits.append(t + _root(c[:, 1], h))
+                if len(hits) == 2:
+                    return 2.0 * (hits[1] - hits[0])
+            if abs(y[0]) >= bound:
+                if hits:
+                    break
+                shifted = c[:, 0].copy()
+                shifted[0] -= math.copysign(bound, y[0])
+                return t + _root(shifted, h)
+    except SingularityAbort:
+        pass
+    if hits:
         return 2.0 * hits[0]
     if x0.p != 0:
         return 2.0 * abs(x0.q / x0.p)

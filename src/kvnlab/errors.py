@@ -14,11 +14,12 @@ class UndefinedError(KvnLabError):
 
 
 class SingularityAbort(KvnLabError):
-    """Trajectory approached the potential singularity closer than dynamics.RMIN."""
+    """Trajectory came closer to the singular origin than dynamics.RMIN, or fell
+    into it faster than the integrator's steps could follow."""
 
 
 class StepFailure(KvnLabError):
-    """Adaptive integrator could not meet the local error target."""
+    """The integrator's step size fell to roundoff, as at a finite-time blow-up."""
 
 
 class HarmonicCaseError(KvnLabError):

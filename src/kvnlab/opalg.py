@@ -91,9 +91,10 @@ def _rational(x: sp.Rational):
 
 
 def _exact(x):
-    """x as an int or Fraction, read as sp.nsimplify(x, rational=True) reads it:
-    0.1 is 1/10, and an integral float keeps 15 significant digits."""
-    if isinstance(x, int) or (isinstance(x, float) and x.is_integer() and abs(x) < 1e15):
+    """x as an int or Fraction: an integral float is the int it equals, so
+    the ring holds the coupling the integrators use, and any other value is
+    read as sp.nsimplify(x, rational=True) reads it: 0.1 is 1/10."""
+    if isinstance(x, int) or (isinstance(x, float) and x.is_integer()):
         return int(x)
     return _rational(sp.nsimplify(x, rational=True))
 

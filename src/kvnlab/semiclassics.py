@@ -23,7 +23,7 @@ from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
 from .core import LmsParams, MonomialPotential, PhasePoint
-from .dynamics import guarded_solve, sample_times
+from .dynamics import sampled_flow
 from .errors import ConvergenceFailure, NoBoundOrbit, RangeExhausted
 
 #: Sample spacing of the side-by-side Newton-equivalent trajectories.
@@ -145,16 +145,6 @@ class NewtonEquivReport:
     max_energy_relation_dev: float
 
 
-def _hamilton_rhs(pot: MonomialPotential, gamma: float):
-    force = pot.force
-
-    def rhs(t, y):
-        q, pg = y
-        return (pg / gamma, -gamma * force(q))
-
-    return rhs
-
-
 def newton_equiv_trajectory_check(
     pot: MonomialPotential,
     gamma: float,
@@ -168,11 +158,9 @@ def newton_equiv_trajectory_check(
     of p_gamma(t) versus gamma p(t), and of H_gamma versus gamma H_st."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    t_eval = sample_times(T, NEWTON_EQUIV_DT)
 
     def run(gv):
-        y0 = [x0.q, gv * x0.p]
-        return guarded_solve(_hamilton_rhs(pot, gv), y0, T, pot, t_eval=t_eval).y
+        return sampled_flow(pot, (x0.q, gv * x0.p), T, NEWTON_EQUIV_DT, mass=gv)[1].T
 
     y_st = run(1.0)
     y_g = run(gamma)

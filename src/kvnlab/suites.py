@@ -129,23 +129,40 @@ class SuiteContext:
         The body compares against ``out.tolerance``, the value recorded,
         and sets ``out.measured`` and ``out.passed``. If it raises, the
         record gets the verdict ``error`` and ``measured`` holds the
-        exception's class and message; the exception goes no further.
+        exception's class and message; the exception goes no further. A
+        measured NaN or infinity says nothing about the claim, so it gives
+        the verdict ``error`` too, naming its key.
         """
         out = CheckOutcome(float(tolerance))
         try:
             yield out
+            measured = _plain(out.measured)
+            bad = _non_finite_key(measured)
+            if bad is not None:
+                raise ValueError(f"measured value {bad!r} is not finite")
         except Exception as exc:  # noqa: BLE001  a raising check is an error verdict
             measured, verdict = {"error": f"{type(exc).__name__}: {exc}"}, "error"
         else:
-            measured, verdict = out.measured, "pass" if out.passed else "fail"
+            verdict = "pass" if out.passed else "fail"
         self.records.append(CheckRecord(
             check_id=check_id,
             anchor=anchor,
             inputs_digest=digest(_plain(inputs)),
-            measured=_plain(measured),
+            measured=measured,
             tolerance=out.tolerance,
             verdict=verdict,
         ))
+
+
+def _non_finite_key(measured: dict):
+    """The first measured key whose value holds a NaN or an infinity, else None."""
+    for key, value in measured.items():
+        if isinstance(value, dict):
+            value = list(value.values())
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for v in (value if isinstance(value, list) else [value])):
+            return key
+    return None
 
 
 def _drift(values: np.ndarray) -> float:
@@ -700,18 +717,19 @@ SUITE_FUNCS = {
 }
 
 
-#: Suite -> the kvnlab modules its checks call. Each suite body imports
-#: the names it uses, so a run loads scipy or sympy only when its suite
-#: needs them.
+#: Suite -> the modules its checks call: kvnlab's, named relative to the
+#: package, and numpy.random where ``SuiteContext.rng`` draws samples. Each
+#: suite body imports the names it uses, so a run loads scipy or sympy only
+#: when its suite needs them.
 SUITE_MODULES = {
-    "dynamics": ("dynamics",),
-    "charges": ("charges", "dynamics"),
-    "lms-classical": ("dynamics", "symmetry"),
-    "lms-virasoro": ("charges", "dynamics"),
-    "opalg": ("opalg",),
-    "quantum-leak": ("qgrid",),
-    "bohr": ("semiclassics",),
-    "newton-equiv": ("semiclassics",),
+    "dynamics": (".dynamics",),
+    "charges": (".charges", ".dynamics", "numpy.random"),
+    "lms-classical": (".dynamics", ".symmetry"),
+    "lms-virasoro": (".charges", ".dynamics", "numpy.random"),
+    "opalg": (".opalg",),
+    "quantum-leak": (".qgrid",),
+    "bohr": (".semiclassics",),
+    "newton-equiv": (".semiclassics",),
 }
 
 
@@ -726,7 +744,7 @@ def import_suite_modules(suite: str):
     are not timed as part of the run."""
     for name in _selected(suite):
         for module in SUITE_MODULES[name]:
-            importlib.import_module(f"{__package__}.{module}")
+            importlib.import_module(module, __package__)
 
 
 def run_checks(ctx: SuiteContext, suite: str):

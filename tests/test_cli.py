@@ -272,6 +272,17 @@ class TestCheckExecutor:
         assert (second.check_id, second.verdict, second.measured) == (
             "x-next", "pass", {"gap": 0.1})
 
+    def test_non_finite_measurement_is_an_error_naming_its_key(self, tmp_path):
+        ctx = SuiteContext(scenario={}, out_dir=str(tmp_path), seed=0)
+        with ctx.check("x-nan", "plumbing", {}, 1e-3) as out:
+            out.measured, out.passed = {"gap": 0.0, "drift": float("nan")}, False
+        with ctx.check("x-inf", "plumbing", {}, 1e-3) as out:
+            out.measured, out.passed = {"levels": [1.0, float("inf")]}, True
+        assert [(r.verdict, r.measured) for r in ctx.records] == [
+            ("error", {"error": "ValueError: measured value 'drift' is not finite"}),
+            ("error", {"error": "ValueError: measured value 'levels' is not finite"}),
+        ]
+
     def run_errored(self, tmp_path, capsys, suite, g, n, **extra):
         sc = write_scenario(tmp_path, {"suite": suite, "potential": {"g": g, "n": n}, **extra})
         proc = run_main(["run", str(sc), "--out", str(tmp_path / "rep")], capsys)
@@ -307,6 +318,39 @@ class TestCheckExecutor:
         assert list(errors) == ["bohr-harmonic-levels"]
         assert errors["bohr-harmonic-levels"].startswith("RangeExhausted: ")
         assert others and set(others.values()) == {"pass"}
+
+
+def strict_report(path):
+    """report.json, read with NaN and Infinity refused as strict JSON does."""
+    def refuse(name):
+        raise ValueError(f"{name} in {path}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+class TestEveryScenarioReports:
+    def test_inverted_oscillator_writes_a_report(self, tmp_path, capsys):
+        # the period probe escapes without turning; the horizon is the escape
+        # time and every measured value reaches a strict-JSON report
+        sc = write_scenario(tmp_path, {"suite": "all", "potential": {"g": -1.0, "n": 2.0}})
+        proc = run_main(["run", str(sc), "--out", str(tmp_path / "rep")], capsys)
+        assert proc.returncode in (0, 1, 3), proc.stderr
+        rep = strict_report(tmp_path / "rep" / "report.json")
+        assert {c["verdict"] for c in rep["checks"]} <= {"pass", "fail", "error"}
+
+    def test_integrating_suites_report_over_the_sweep(self, tmp_path, capsys):
+        # couplings of both signs and exponents on both sides of the
+        # singular origin: the kernel's guard, blow-up and event paths
+        for g in (1.0, -1.0, 2.5):
+            for n in (-3.0, -2.0, -1.0, 1.0, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0):
+                for suite in ("dynamics", "newton-equiv"):
+                    body = {"suite": suite, "potential": {"g": g, "n": n}}
+                    out = tmp_path / f"{suite}_{g:g}_{n:g}"
+                    sc = write_scenario(tmp_path, body)
+                    proc = run_main(["run", str(sc), "--out", str(out)], capsys)
+                    assert proc.returncode in (0, 1, 3), (body, proc.stderr)
+                    rep = strict_report(out / "report.json")
+                    verdicts = {c["verdict"] for c in rep["checks"]}
+                    assert rep["checks"] and verdicts <= {"pass", "fail", "error"}, body
 
 
 class TestSolutionMapGrid:

@@ -114,7 +114,7 @@ class TestPower:
 
     @pytest.mark.parametrize("n", POWER_NS)
     def test_potential_scalars_keep_their_bits(self, n):
-        # the np.float64 states a DOP853 right-hand side unpacks
+        # np.float64 scalars, as indexing a numpy state returns them
         pot = MonomialPotential(1.5, n)
         with np.errstate(invalid="ignore"):
             for q in map(np.float64, _draws()):

@@ -8,6 +8,7 @@ from scipy.integrate import solve_ivp
 
 from kvnlab.core import ExtendedPoint, MonomialPotential, PhasePoint
 from kvnlab.dynamics import (
+    BLOCK,
     characteristic_time,
     eom_rhs,
     flow_map,
@@ -15,7 +16,8 @@ from kvnlab.dynamics import (
     integrate,
     sample_times,
 )
-from kvnlab.errors import DomainError, SingularityAbort
+from kvnlab.errors import DomainError, SingularityAbort, StepFailure
+from kvnlab.suites import FIXTURES
 
 QUARTIC = MonomialPotential(1.0, 4.0)
 HARMONIC = MonomialPotential(1.0, 2.0)
@@ -34,6 +36,21 @@ def test_rhs_guards_singular_origin(n):
     pot = MonomialPotential(1.0, n)
     with pytest.raises(DomainError):
         eom_rhs(ExtendedPoint(1e-9, 0.0, 0.0, 0.0), pot)
+
+
+def oracle(pot, y0, times):
+    """The (q, p, lq, lp) flow at ``times`` by scipy's DOP853 at 1e-13, an
+    integrator independent of the library's Taylor kernel."""
+    g, n = pot.g, pot.n
+
+    def rhs(t, y):
+        q, p, lq, lp = y
+        return [p, -g * q ** (n - 1.0), lp * g * (n - 1.0) * q ** (n - 2.0), -lq]
+
+    sol = solve_ivp(rhs, (0.0, times[-1]), y0, method="DOP853", rtol=1e-13, atol=1e-13,
+                    t_eval=times)
+    assert sol.success
+    return sol.y.T
 
 
 def test_sample_times_includes_endpoints():
@@ -94,6 +111,33 @@ class TestIntegrate:
         back = integrate(fwd, QUARTIC, -0.8).final
         assert np.allclose(back.as_array(), x0.as_array(), atol=1e-9)
 
+    def test_negative_horizon_matches_the_oracle(self):
+        x0 = ExtendedPoint(1.0, 0.3, 0.1, 0.2)
+        traj = integrate(x0, QUARTIC, -3.0, 0.01)
+        assert traj.times[0] == 0.0 and traj.times[-1] == -3.0
+        assert np.all(np.diff(traj.times) < 0)
+        want = oracle(QUARTIC, x0.as_array(), traj.times)
+        assert np.max(np.abs(traj.states - want)) < 1e-10
+
+    @pytest.mark.parametrize("t", [0.3, -0.8, 2.5])
+    def test_one_interval_call_ends_where_a_sampled_one_does(self, t):
+        # the call _ext_flow makes: one interval, the samples 0 and t
+        x0 = ExtendedPoint(1.0, 0.3, 0.1, 0.2)
+        one = integrate(x0, QUARTIC, t, abs(t))
+        assert list(one.times) == [0.0, t]
+        assert one.initial == x0
+        sampled = integrate(x0, QUARTIC, t, 0.01).final.as_array()
+        assert np.max(np.abs(one.final.as_array() - sampled)) < 1e-14
+
+    @pytest.mark.parametrize("n", sorted(FIXTURES))
+    def test_fixture_orbits_agree_with_the_oracle(self, n):
+        g, ic = FIXTURES[n]
+        pot, x0 = MonomialPotential(g, n), ExtendedPoint(*ic)
+        T = 2.0 * characteristic_time(pot, x0)
+        traj = integrate(x0, pot, T, T / 400)
+        want = oracle(pot, x0.as_array(), traj.times)
+        assert np.max(np.abs(traj.states - want)) < 1e-8
+
     def test_zero_horizon_rejected(self):
         with pytest.raises(ValueError):
             integrate(ExtendedPoint(1.0, 0.0, 0.0, 0.0), QUARTIC, 0.0)
@@ -108,6 +152,24 @@ class TestIntegrate:
         pot = MonomialPotential(2.0, -2.0)
         with pytest.raises(SingularityAbort):
             integrate(ExtendedPoint(0.5, -2.0, 0.0, 0.0), pot, 10.0)
+
+    @pytest.mark.parametrize("n", [-2.0, 2.5])
+    def test_fall_into_a_singular_origin_aborts(self, n):
+        # the force pulls q to 0, where V is singular (n = -2) or undefined
+        # beyond (n = 2.5); the steps shrink with the distance to it
+        pot = MonomialPotential(1.0, n)
+        x0 = ExtendedPoint(1.0, -0.3, 0.3, -0.2)
+        with pytest.raises(SingularityAbort):
+            integrate(x0, pot, 10.0)
+        with pytest.raises(SingularityAbort):
+            flow_map_batch([2.0, 1.0], [0.0, -0.3], pot, 10.0)
+        # the period probe stops at the guard instead
+        assert 0.0 < characteristic_time(pot, x0) < 100.0
+
+    def test_blow_up_is_a_step_failure(self):
+        # the inverted quartic sends q to infinity in finite time
+        with pytest.raises(StepFailure):
+            integrate(ExtendedPoint(1.0, 0.05, 0.3, -0.2), MonomialPotential(-1.0, 4.0), 10.0)
 
     def test_trajectory_accessors(self):
         x0 = ExtendedPoint(1.0, 0.0, 0.3, -0.2)
@@ -179,6 +241,20 @@ class TestFlowMaps:
             assert q1[i] == pytest.approx(single.q, abs=1e-10)
             assert p1[i] == pytest.approx(single.p, abs=1e-10)
 
+    def test_batch_pull_back_spans_blocks(self):
+        # evolve_liouville pulls every grid node back by -t; the lanes of
+        # each block share a step, so each block must land on the oracle
+        rng = np.random.default_rng(3)
+        qs = rng.uniform(-2.0, 2.0, BLOCK + 5)
+        ps = rng.uniform(-2.0, 2.0, BLOCK + 5)
+        q0, p0 = flow_map_batch(qs, ps, QUARTIC, -0.25)
+        for i in (0, BLOCK - 1, BLOCK, BLOCK + 4):
+            want = oracle(QUARTIC, [qs[i], ps[i], 0.0, 0.0], [0.0, -0.25])[-1]
+            assert abs(q0[i] - want[0]) < 1e-12 and abs(p0[i] - want[1]) < 1e-12
+        qf, pf = flow_map_batch(q0, p0, QUARTIC, 0.25)
+        assert np.max(np.abs(qf - qs)) < 1e-12
+        assert np.max(np.abs(pf - ps)) < 1e-12
+
     def test_batch_backward_inverts_forward(self):
         rng = np.random.default_rng(7)
         qs = rng.uniform(-1.0, 1.0, 50)
@@ -211,6 +287,28 @@ class TestCharacteristicTime:
         )[0]
         est = characteristic_time(QUARTIC, x0)
         assert est == pytest.approx(period, rel=1e-3)
+
+    @pytest.mark.parametrize("g,n", [(1.0, 4.0), (2.5, 4.0), (1.0, 6.0), (0.5, 6.0)])
+    @pytest.mark.parametrize("q0,p0", [(1.0, 0.0), (0.3, 0.8)])
+    def test_period_matches_the_closed_form(self, g, n, q0, p0):
+        # T = 4a / sqrt(2E) * B(1/n, 1/2) / n, with the turning point a
+        # where V(a) = E; the turning points are sign changes of p
+        E = 0.5 * p0**2 + g * q0**n / n
+        a = (n * E / g) ** (1.0 / n)
+        beta = math.gamma(1.0 / n) * math.gamma(0.5) / math.gamma(1.0 / n + 0.5)
+        period = 4.0 * a / math.sqrt(2.0 * E) * beta / n
+        est = characteristic_time(MonomialPotential(g, n), ExtendedPoint(q0, p0, 0.3, -0.2))
+        assert est == pytest.approx(period, rel=1e-12)
+
+    def test_escape_without_turning_gives_the_escape_time(self):
+        # the inverted oscillator q = A e^t + B e^-t leaves |q| < 2000 and
+        # never turns
+        x0 = ExtendedPoint(1.0, 0.05, 0.3, -0.2)
+        A, B = (x0.q + x0.p) / 2.0, (x0.q - x0.p) / 2.0
+        bound = 1e3 * (1.0 + x0.q)
+        escape = math.log((bound + math.sqrt(bound**2 - 4.0 * A * B)) / (2.0 * A))
+        got = characteristic_time(MonomialPotential(-1.0, 2.0), x0)
+        assert got == pytest.approx(escape, rel=1e-12)
 
     def test_escaping_orbit_gets_finite_scale(self):
         pot = MonomialPotential(1.0, -2.0)
