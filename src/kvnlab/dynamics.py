@@ -227,10 +227,12 @@ def sampled_flow(pot: MonomialPotential, y0, T: float, dt: float, mass: float = 
         coeffs.append(c)
     sign = math.copysign(1.0, T)
     step = np.searchsorted(sign * np.array(starts), sign * times, side="right") - 1
-    tau = times - np.array(starts)[step]
-    coeffs = np.array(coeffs)[step]
-    powers = tau[:, None] ** np.arange(1, coeffs.shape[1])
-    states = coeffs[:, 0] + np.einsum("sk,skd->sd", powers, coeffs[:, 1:])
+    tau = (times - np.array(starts)[step])[:, None]
+    # Horner's rule on every sample at once, one order at a time
+    coeffs = np.array(coeffs)
+    states = coeffs[step, -1]
+    for k in range(coeffs.shape[1] - 2, -1, -1):
+        states = states * tau + coeffs[step, k]
     if _guarded(pot) and states[:, 0].min() < RMIN:
         raise SingularityAbort("trajectory entered the guard radius between step ends")
     return times, states
