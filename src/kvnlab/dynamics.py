@@ -128,14 +128,11 @@ def _coefficients(pot: MonomialPotential, y, order: int, mass: float):
         # V' = g is constant and V'' = 0: (q, lp) u is 1, 0, 0, ...
         unit = np.zeros((order,) + c[0, ::3].shape)
         unit[0] = 1.0
-    elif n == 2.0:
-        u = np.zeros_like(q)
-        u[0] = 1.0
-        powers = ()
     elif integral:
-        # powers[j - 1] = q^j by Cauchy products, up to u = q^(n-2)
-        powers = [q] + [np.empty_like(q) for _ in range(int(n) - 3)]
-        u = powers[-1]
+        # powers[j] = q^j by Cauchy products, up to u = q^(n-2); q^0 = 1
+        powers = [np.zeros_like(q), q] + [np.empty_like(q) for _ in range(int(n) - 3)]
+        powers[0][0] = 1.0
+        u = powers[int(n) - 2]
     else:
         u = np.empty_like(q)
         u[0] = q[0] ** (n - 2.0)
@@ -145,7 +142,7 @@ def _coefficients(pot: MonomialPotential, y, order: int, mass: float):
             forced = unit[k]
         else:
             if integral:
-                for j in range(1, len(powers)):
+                for j in range(2, len(powers)):
                     powers[j][k] = dot(q[:k + 1], powers[j - 1][k::-1])
             elif k:
                 u[k] = np.dot(weights[k - 1, :k], q[1:k + 1] * u[k - 1::-1]) / q[0]
@@ -300,8 +297,8 @@ def _root(c, h: float) -> float:
             lo, f_lo = tau, f
         else:
             hi = tau
-        step = f / _poly(dc, tau)
-        nxt = tau - step
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = tau - f / _poly(dc, tau)
         if not min(lo, hi) < nxt < max(lo, hi):
             nxt = 0.5 * (lo + hi)
         if abs(nxt - tau) <= 4.0 * math.ulp(nxt):
