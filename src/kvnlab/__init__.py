@@ -36,10 +36,8 @@ _SOURCE = {
     "check_action_scaling": "symmetry",
     "eigensolve_newton_equiv": "semiclassics",
     "energy": "dynamics",
-    "eom_rhs": "dynamics",
     "epb": "charges",
     "errors": "errors",
-    "flow_map": "dynamics",
     "flow_map_batch": "dynamics",
     "gradient": "charges",
     "ground_width": "semiclassics",

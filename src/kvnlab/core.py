@@ -64,23 +64,14 @@ class MonomialPotential:
         return self.g * _power(q, self.n) / self.n
 
     def derivs(self, q):
-        """Return (V'(q), V''(q)) = (g q**(n-1), g (n-1) q**(n-2))."""
+        """Return (V'(q), V''(q)) = (g q**(n-1), g (n-1) q**(n-2)) for a
+        float or an array of them."""
         self._require(q)
-        return self.force(q), self.curvature(q)
-
-    # The unchecked pair below gives a NaN outside the domain rather than an
-    # exception, for callers that have checked the domain already.
-
-    def force(self, q):
-        """V'(q) = g q**(n-1), without the domain check."""
-        return self.g * _power(q, self.n - 1.0)
-
-    def curvature(self, q):
-        """V''(q) = g (n-1) q**(n-2), without the domain check."""
+        force = self.g * _power(q, self.n - 1.0)
         if self.n == 1.0:
             # q**0.0 is exactly 1 for every q, where q**-1.0 is inf at 0.
-            return 0.0 * _power(q, 0.0)
-        return self.g * (self.n - 1.0) * _power(q, self.n - 2.0)
+            return force, 0.0 * _power(q, 0.0)
+        return force, self.g * (self.n - 1.0) * _power(q, self.n - 2.0)
 
 
 def _power(q, e: float):

@@ -19,9 +19,10 @@ q > 0 keeps q_0 away from zero. Each step's size comes from the last two
 coefficients (Jorba & Zou, Exp. Math. 14 (2005) 99), and the step's own
 polynomial gives the output samples and locates events, so samples cost no
 extra steps. The kernel holds the one domain guard: where V is defined on
-q > 0 only, a position below RMIN at a step end or a sample raises
-SingularityAbort. A step size that collapses to roundoff, or a series that
-overflows, is a finite-time blow-up and raises StepFailure.
+q > 0 only, a start below RMIN raises DomainError, and a position below
+RMIN at a step end or a sample raises SingularityAbort. A step size that
+collapses to roundoff, or a series that overflows, is a finite-time
+blow-up and raises StepFailure.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ExtendedPoint, MonomialPotential, PhasePoint, _is_positive_integer
+from .core import ExtendedPoint, MonomialPotential, _is_positive_integer
 from .errors import DomainError, SingularityAbort, StepFailure
 
 #: Truncation target of a step: the last two Taylor terms stay below
@@ -72,20 +73,10 @@ class ExtendedTrajectory:
     def final(self) -> ExtendedPoint:
         return ExtendedPoint.from_array(self.states[-1])
 
-    def point(self, i: int) -> ExtendedPoint:
-        return ExtendedPoint.from_array(self.states[i])
-
 
 def _guarded(pot: MonomialPotential) -> bool:
     """Whether V lives on q > 0 only, so that positions must stay above RMIN."""
     return not pot.admissible(-1.0)
-
-
-def eom_rhs(x: ExtendedPoint, pot: MonomialPotential):
-    """Right-hand side (dq, dp, dlq, dlp) at a single extended point."""
-    if not pot.admissible(x.q) or (_guarded(pot) and x.q < RMIN):
-        raise DomainError(f"q={x.q!r} outside the domain or guard radius {RMIN!r}")
-    return np.array([x.p, -pot.force(x.q), x.lp * pot.curvature(x.q), -x.lq])
 
 
 def energy(x, pot: MonomialPotential):
@@ -179,14 +170,16 @@ def _taylor_steps(pot: MonomialPotential, y0, T: float, order: int = ORDER,
     Yields (t, h, c, y) per step: its start, its signed size, its
     coefficients and the state at its end, where the last step ends at T
     exactly. All lanes of y0 share every step. Raises DomainError for a
-    start outside the domain, SingularityAbort when a position of a guarded
-    potential ends a step below RMIN, and when the step size falls to
-    roundoff (or the series stops being finite) raises SingularityAbort if
-    the steepest lane moves toward a singular origin, else StepFailure."""
+    start outside the domain or, where the potential is guarded, below
+    RMIN, SingularityAbort when a position of a guarded potential ends a
+    step below RMIN, and when the step size falls to roundoff (or the
+    series stops being finite) raises SingularityAbort if the steepest
+    lane moves toward a singular origin, else StepFailure."""
     y = np.array(y0, dtype=float)
-    if not np.all(pot.admissible(y[0])):
-        raise DomainError(f"initial q={float(np.min(y[0]))!r} outside the potential domain")
     guarded, t = _guarded(pot), 0.0
+    if not np.all(pot.admissible(y[0])) or (guarded and np.min(y[0]) < RMIN):
+        raise DomainError(f"initial q={float(np.min(y[0]))!r} outside the potential "
+                          f"domain or guard radius {RMIN!r}")
     while t != T:
         with np.errstate(over="ignore", invalid="ignore"):
             c = _coefficients(pot, y, order, mass)
@@ -255,14 +248,6 @@ def integrate(
     sampled every dt on the uniform grid sample_times(T, dt)."""
     times, states = sampled_flow(pot, x0.as_array(), T, dt)
     return ExtendedTrajectory(times=times, states=states)
-
-
-def flow_map(x0: PhasePoint, pot: MonomialPotential, t: float) -> PhasePoint:
-    """Classical flow of (q, p) by time t; negative t runs backward."""
-    if t == 0:
-        return x0
-    q, p = flow_map_batch([x0.q], [x0.p], pot, t)
-    return PhasePoint(float(q[0]), float(p[0]))
 
 
 def flow_map_batch(qs, ps, pot: MonomialPotential, t: float):

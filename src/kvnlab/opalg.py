@@ -470,9 +470,11 @@ def _monomial_image(target: Algebra, key: tuple) -> OperatorPoly:
 
 def _sum_scaled(algebra: Algebra, pairs: list) -> OperatorPoly:
     """Sum of coeff * image over (coeff, image) pairs, reading the images only,
-    on integer numerators over the common denominators of the two sides."""
+    on integer numerators over the common denominators of the two sides; a
+    whole value stays an int, as _coeff stores it."""
     dc = math.lcm(*(v.denominator for c, _ in pairs for v in c.values()))
     di = math.lcm(*(v.denominator for _, x in pairs for c in x.terms.values() for v in c.values()))
+    d = dc * di
     acc = {}
     for coeff, image in pairs:
         cn = {m: v.numerator * (dc // v.denominator) for m, v in coeff.items()}
@@ -480,7 +482,8 @@ def _sum_scaled(algebra: Algebra, pairs: list) -> OperatorPoly:
             _cmul({m: v.numerator * (di // v.denominator) for m, v in c.items()}, cn,
                   acc.setdefault(key, {}))
     out = OperatorPoly(algebra)
-    out.terms = {k: {m: Fraction(n, dc * di) for m, n in c.items()} for k, c in acc.items() if c}
+    out.terms = {k: {m: n // d if n % d == 0 else Fraction(n, d) for m, n in c.items()}
+                 for k, c in acc.items() if c}
     return out
 
 
@@ -509,7 +512,7 @@ def weyl_substitute(expr, X: OperatorPoly, Y: OperatorPoly) -> OperatorPoly:
     def image(a, b):
         return _weyl_step(a, b, X, Y, image)
 
-    return _weyl_terms(_qp_terms(expr), image, X.algebra)
+    return _sum_scaled(X.algebra, [(c, image(a, b)) for a, b, c in _qp_terms(expr)])
 
 
 def _weyl_step(a: int, b: int, X: OperatorPoly, Y: OperatorPoly, image) -> OperatorPoly:
@@ -528,11 +531,6 @@ def _weyl_image(a: int, b: int, bar: bool) -> OperatorPoly:
     Q, P, Qb, Pb = bopp_operators()
     X, Y = (Qb, Pb) if bar else (Q, P)
     return _weyl_step(a, b, X, Y, lambda a, b: _weyl_image(a, b, bar))
-
-
-def _weyl_terms(terms, image, algebra: Algebra) -> OperatorPoly:
-    """Sum of coeff * image(a, b) over the (a, b, coeff) terms of C."""
-    return _sum_scaled(algebra, [(c, image(a, b)) for a, b, c in terms])
 
 
 def _require_monomial_exponent(pot: MonomialPotential) -> int:
@@ -583,7 +581,7 @@ def c_hbar_series(expr, jmax: int) -> OperatorPoly:
     The derivatives are taken on the exponents of the terms of C, which
     may also be given as a tuple (a, b, coeff dict), as by _hamiltonian."""
     terms = expr if isinstance(expr, tuple) else _qp_terms(expr)
-    out = OperatorPoly.zero(KVN)
+    pairs = []
     for j in range(jmax + 1):
         order = 2 * j + 1
         pref = Fraction(1, 2 ** (2 * j) * math.factorial(order))
@@ -598,8 +596,8 @@ def c_hbar_series(expr, jmax: int) -> OperatorPoly:
                 continue
             lam = OperatorPoly(KVN, {(0, 0, order - k, k): 1})
             weight = pref * math.comb(order, k) * (-1) ** k
-            out._add_poly((lam * deriv)._scaled({(0, 2 * j, 0, 0, 0): weight}))
-    return out
+            pairs.append(({(0, 2 * j, 0, 0, 0): weight}, lam * deriv))
+    return _sum_scaled(KVN, pairs)
 
 
 def build_series_G(pot: MonomialPotential, jmax: int) -> OperatorPoly:
@@ -617,9 +615,9 @@ def build_C_hbar(expr) -> OperatorPoly:
     odd-derivative series and reduces to the classical vector field of C
     as hbar -> 0. expr may also be a tuple of terms, as for c_hbar_series."""
     terms = expr if isinstance(expr, tuple) else _qp_terms(expr)
-    plain = _weyl_terms(terms, lambda a, b: _weyl_image(a, b, False), KVN)
-    barred = _weyl_terms(terms, lambda a, b: _weyl_image(a, b, True), KVN)
-    return _divide_by_hbar(plain - barred)
+    pairs = [(c, _weyl_image(a, b, False)) for a, b, c in terms]
+    pairs += [({m: -v for m, v in c.items()}, _weyl_image(a, b, True)) for a, b, c in terms]
+    return _divide_by_hbar(_sum_scaled(KVN, pairs))
 
 
 def classical_vector_field(expr) -> OperatorPoly:

@@ -117,7 +117,7 @@ def action_kvn(traj: ExtendedTrajectory, pot: MonomialPotential) -> float:
     p = traj.states[:, 1]
     lq = traj.states[:, 2]
     lp = traj.states[:, 3]
-    return float(simpson(lq * p + lp * pot.force(q), x=traj.times))
+    return float(simpson(lq * p + lp * pot.derivs(q)[0], x=traj.times))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -202,8 +203,21 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr
         a = (tmp_path / "one" / "report.json").read_text()
         b = (tmp_path / "two" / "report.json").read_text()
-        assert a != b or True  # wall time may coincide; only content matters
         assert strip_wall_time(a) == strip_wall_time(b)
+
+    def test_readme_report_matches_its_pin(self, tmp_path, capsys):
+        """The README scenario's report.json, with its wall_time_s line
+        removed, is byte for byte tests/data/readme_report.json. A change
+        that moves report values regenerates this pin on purpose, as it
+        does bench/reference.json, and lists every moved value."""
+        body = {"suite": "all", "potential": {"g": 1.0, "n": 4.0}, "lms": {"alpha": 1.3},
+                "seed": 17}
+        sc = write_scenario(tmp_path, body)
+        proc = run_main(["run", str(sc), "--out", str(tmp_path / "rep")], capsys)
+        assert proc.returncode == 0, proc.stderr
+        raw = (tmp_path / "rep" / "report.json").read_bytes()
+        pin = Path(__file__).parent / "data" / "readme_report.json"
+        assert re.sub(rb',\n  "wall_time_s": [^\n]+', b"", raw) == pin.read_bytes()
 
     def test_csv_sidecars_identical(self, tmp_path):
         body = {"suite": "charges", "potential": {"g": 1.0, "n": 4.0}}

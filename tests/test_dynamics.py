@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from kvnlab.core import ExtendedPoint, MonomialPotential, PhasePoint
+from kvnlab.core import ExtendedPoint, MonomialPotential
 from kvnlab.dynamics import (
     BLOCK,
+    RMIN,
+    _coefficients,
     characteristic_time,
-    eom_rhs,
-    flow_map,
     flow_map_batch,
     integrate,
     sample_times,
@@ -23,19 +23,30 @@ QUARTIC = MonomialPotential(1.0, 4.0)
 HARMONIC = MonomialPotential(1.0, 2.0)
 
 
-def test_rhs_components_quartic():
-    x = ExtendedPoint(1.5, -0.4, 0.2, 0.7)
-    rhs = eom_rhs(x, QUARTIC)
-    v1 = 1.0 * 1.5**3
-    v2 = 3.0 * 1.5**2
-    assert rhs == pytest.approx([-0.4, -v1, 0.7 * v2, -0.2])
+@pytest.mark.parametrize("g,n", [(g, n) for n, (g, _) in FIXTURES.items()]
+                         + [(1.0, 2.5), (1.0, -3.0)])
+@pytest.mark.parametrize("y,mass", [((1.5, -0.4, 0.2, 0.7), 1.0), ((1.5, -0.4), 2.0)],
+                         ids=["extended", "classical-mass2"])
+def test_kernel_rhs_is_the_force_law(g, n, y, mass):
+    # the first-order coefficients of the kernel are the right-hand side
+    # (p/m, -m V', lp V'', -lq), built here from the potential's derivs
+    pot = MonomialPotential(g, n)
+    y = np.array(y)
+    v1, v2 = pot.derivs(y[0])
+    want = [y[1] / mass, -mass * v1] + ([y[3] * v2, -y[2]] if len(y) == 4 else [])
+    np.testing.assert_allclose(_coefficients(pot, y, 1, mass)[1], want, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("n", [-2.0, 2.5])
-def test_rhs_guards_singular_origin(n):
+def test_start_inside_the_guard_radius_is_a_domain_error(n):
+    # V is singular at (n = -2) or undefined beyond (n = 2.5) the origin;
+    # both entry points refuse a start the guard would abort on
     pot = MonomialPotential(1.0, n)
-    with pytest.raises(DomainError):
-        eom_rhs(ExtendedPoint(1e-9, 0.0, 0.0, 0.0), pot)
+    for q0 in (0.5 * RMIN, 1e-9):
+        with pytest.raises(DomainError):
+            integrate(ExtendedPoint(q0, 3.0, 0.0, 0.0), pot, 0.1, 0.01)
+        with pytest.raises(DomainError):
+            flow_map_batch([1.0, q0], [0.0, 3.0], pot, 0.1)
 
 
 def oracle(pot, y0, times):
@@ -176,7 +187,6 @@ class TestIntegrate:
         traj = integrate(x0, HARMONIC, 1.0)
         assert len(traj) == len(traj.times)
         assert np.allclose(traj.initial.as_array(), x0.as_array())
-        assert traj.point(0) == traj.initial
 
 
 class TestTangentPairing:
@@ -222,24 +232,19 @@ class TestTangentPairing:
 
 class TestFlowMaps:
     def test_flow_map_composition(self):
-        x0 = PhasePoint(1.0, 0.3)
-        a = flow_map(flow_map(x0, QUARTIC, 0.4), QUARTIC, 0.6)
-        b = flow_map(x0, QUARTIC, 1.0)
-        assert a.q == pytest.approx(b.q, abs=1e-10)
-        assert a.p == pytest.approx(b.p, abs=1e-10)
-
-    def test_flow_map_zero_is_identity(self):
-        x0 = PhasePoint(1.0, 0.3)
-        assert flow_map(x0, QUARTIC, 0.0) is x0
+        qa, pa = flow_map_batch(*flow_map_batch([1.0], [0.3], QUARTIC, 0.4), QUARTIC, 0.6)
+        qb, pb = flow_map_batch([1.0], [0.3], QUARTIC, 1.0)
+        assert qa[0] == pytest.approx(qb[0], abs=1e-10)
+        assert pa[0] == pytest.approx(pb[0], abs=1e-10)
 
     def test_batch_matches_single(self):
         qs = np.array([0.8, 1.0, 1.2])
         ps = np.array([-0.2, 0.0, 0.4])
         q1, p1 = flow_map_batch(qs, ps, QUARTIC, 0.7)
         for i in range(3):
-            single = flow_map(PhasePoint(qs[i], ps[i]), QUARTIC, 0.7)
-            assert q1[i] == pytest.approx(single.q, abs=1e-10)
-            assert p1[i] == pytest.approx(single.p, abs=1e-10)
+            q, p = flow_map_batch([qs[i]], [ps[i]], QUARTIC, 0.7)
+            assert q1[i] == pytest.approx(q[0], abs=1e-10)
+            assert p1[i] == pytest.approx(p[0], abs=1e-10)
 
     def test_batch_pull_back_spans_blocks(self):
         # evolve_liouville pulls every grid node back by -t; the lanes of

@@ -1,5 +1,6 @@
 """Operator algebra: normal ordering, generators, adjoints, obstruction."""
 
+import importlib.util
 import itertools
 import os
 import subprocess
@@ -152,6 +153,21 @@ class TestCoefficientBoundary:
         got = leak_detect(q_op() * lq_op()).converted.coefficient((1, 0, 1, 0))
         assert isinstance(got, sp.Expr)
         assert got == 1 / (2 * hbar)
+
+    def test_whole_values_stay_ints(self):
+        # the seeded observables of bench/'s operator batch, at seed 602:
+        # 448 of the 672 coefficient values of these results were once
+        # Fraction(k, 1), which costs more in every later product than an int
+        spec = importlib.util.spec_from_file_location("workloads",
+                                                      REPO / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for terms in workloads.observables(602):
+            expr = sum(c * q_c**a * p_c**b for c, a, b in terms)
+            for x in (build_C_hbar(expr), c_hbar_series(expr, workloads.series_order(terms))):
+                whole = [v for c in x.terms.values() for v in c.values()
+                         if isinstance(v, Fraction) and v.denominator == 1]
+                assert whole == [], expr
 
     def test_float_coefficients_rejected(self):
         with pytest.raises(TypeError, match="0.5"):
