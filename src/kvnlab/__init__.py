@@ -20,7 +20,6 @@ _SOURCE = {
     "EigenResult": "semiclassics",
     "ExtendedPoint": "core",
     "ExtendedTrajectory": "dynamics",
-    "HbarContext": "core",
     "LmsParams": "core",
     "LmsVariation": "symmetry",
     "MonomialPotential": "core",

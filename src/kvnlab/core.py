@@ -116,17 +116,6 @@ class ExtendedPoint:
 
 
 @dataclass(frozen=True)
-class HbarContext:
-    """Validated scale parameter for the operator-level constructions."""
-
-    hbar: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.hbar) and self.hbar > 0.0):
-            raise UndefinedError("hbar must be finite and positive")
-
-
-@dataclass(frozen=True)
 class LmsParams:
     """Finite similarity parameters for a fixed exponent n.
 

@@ -234,6 +234,8 @@ def sample_times(T: float, dt: float) -> np.ndarray:
     The grid has ceil(|T|/dt) intervals, and a dt that divides T up to
     roundoff gives exactly T/dt of them: T/(T/N) may round to N + 2e-16,
     which must not buy a stray sample."""
+    if not dt > 0:
+        raise ValueError(f"sample spacing dt must be positive, got {dt!r}")
     n = max(int(math.ceil(abs(T) / dt * (1.0 - 1e-12))), 1)
     return np.linspace(0.0, T, n + 1)
 
@@ -254,14 +256,13 @@ def flow_map_batch(qs, ps, pot: MonomialPotential, t: float):
     """Vectorized classical flow for arrays of initial (q, p) pairs.
 
     The characteristics advance in blocks of BLOCK lanes; the lanes of a
-    block share every step and the domain guard."""
+    block share every step and the domain guard. At t = 0 no step is
+    taken, but the start is still checked."""
     qs = np.asarray(qs, dtype=float).ravel()
     ps = np.asarray(ps, dtype=float).ravel()
     out = np.stack([qs, ps])
-    if t == 0:
-        return out[0], out[1]
     for lo in range(0, qs.size, BLOCK):
-        block = out[:, lo:lo + BLOCK]
+        block = y = out[:, lo:lo + BLOCK]
         for *_, y in _taylor_steps(pot, block, t, order=BATCH_ORDER):
             pass
         block[:] = y

@@ -67,7 +67,7 @@ class NoBoundOrbit(KvnLabError):
 
 
 class RangeExhausted(KvnLabError):
-    """Bracket expansion failed to enclose the requested root."""
+    """A quantized energy overflowed to a non-finite value."""
 
 
 class ConvergenceFailure(KvnLabError):

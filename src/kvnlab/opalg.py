@@ -501,36 +501,18 @@ def _qp_terms(expr) -> tuple:
     return tuple((a, b, _coeff(c)) for (a, b), c in poly.terms())
 
 
-def weyl_substitute(expr, X: OperatorPoly, Y: OperatorPoly) -> OperatorPoly:
-    """Symmetric-ordered substitution of (X, Y) into C(q, p).
-
-    Each monomial q^a p^b maps to 2^(-a) * sum_k C(a,k) X^k Y^b X^(a-k),
-    the symmetric ordering in closed form (see _weyl_step)."""
-    X._check_same(Y)
-
-    @functools.cache
-    def image(a, b):
-        return _weyl_step(a, b, X, Y, image)
-
-    return _sum_scaled(X.algebra, [(c, image(a, b)) for a, b, c in _qp_terms(expr)])
-
-
-def _weyl_step(a: int, b: int, X: OperatorPoly, Y: OperatorPoly, image) -> OperatorPoly:
-    """Symmetric-ordered image W(a, b) of q^a p^b from image() of lower degree:
-    X^a or Y^b for a pure power, else (X W + W X)/2 with W = W(a-1, b), which
-    Pascal's rule turns into McCoy's 2^(-a) sum_k C(a,k) X^k Y^b X^(a-k)."""
-    if a == 0:
-        return image(0, b - 1) * Y if b else OperatorPoly.scalar(X.algebra, 1)
-    w = image(a - 1, b)
-    return w * X if b == 0 else (X * w + w * X)._scaled(_HALF)
-
-
 @functools.cache
 def _weyl_image(a: int, b: int, bar: bool) -> OperatorPoly:
-    """W(a, b) over (Q, P), or (Qbar, Pbar) when bar is set; read by _sum_scaled."""
+    """Symmetric-ordered image W(a, b) of q^a p^b over (Q, P), or (Qbar, Pbar)
+    when bar is set; read by _sum_scaled. X^a or Y^b for a pure power, else
+    (X W + W X)/2 with W = W(a-1, b), which Pascal's rule turns into McCoy's
+    2^(-a) sum_k C(a,k) X^k Y^b X^(a-k)."""
     Q, P, Qb, Pb = bopp_operators()
     X, Y = (Qb, Pb) if bar else (Q, P)
-    return _weyl_step(a, b, X, Y, lambda a, b: _weyl_image(a, b, bar))
+    if a == 0:
+        return _weyl_image(0, b - 1, bar) * Y if b else OperatorPoly.scalar(X.algebra, 1)
+    w = _weyl_image(a - 1, b, bar)
+    return w * X if b == 0 else (X * w + w * X)._scaled(_HALF)
 
 
 def _require_monomial_exponent(pot: MonomialPotential) -> int:

@@ -22,7 +22,6 @@ exact Fourier shift of every row of the state.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -31,9 +30,9 @@ import numpy as np
 import scipy.fft
 from scipy.interpolate import RectBivariateSpline
 
-from .core import HbarContext, MonomialPotential
+from .core import MonomialPotential
 from .dynamics import flow_map_batch
-from .errors import NonNormalizable, SupportExit
+from .errors import NonNormalizable, SupportExit, UndefinedError
 
 REP_QP = "qp"
 REP_QQBAR = "qqbar"
@@ -80,9 +79,6 @@ class GridAxis:
     def wavenumbers(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.count, d=self.dx)
 
-    def to_dict(self) -> dict:
-        return {"center": self.center, "extent": self.extent, "count": self.count}
-
 
 @dataclass
 class GridState2D:
@@ -103,7 +99,8 @@ class GridState2D:
             )
         if self.rep not in (REP_QP, REP_QQBAR):
             raise ValueError(f"unknown representation {self.rep!r}")
-        HbarContext(self.hbar)
+        if not (math.isfinite(self.hbar) and self.hbar > 0.0):
+            raise UndefinedError("hbar must be finite and positive")
         if not np.all(np.isfinite(self.amps.view(float))):
             raise NonNormalizable("amplitudes contain non-finite entries")
 
@@ -137,30 +134,6 @@ class GridState2D:
         x2 = axis2.points()[None, :]
         state = GridState2D(axis1, axis2, np.asarray(fn(x1, x2), dtype=complex), rep, hbar)
         return state.normalized()
-
-    def save(self, prefix: str):
-        """Write <prefix>.npy (amplitudes) and <prefix>.json (metadata)."""
-        np.save(f"{prefix}.npy", self.amps)
-        meta = {
-            "axis1": self.axis1.to_dict(),
-            "axis2": self.axis2.to_dict(),
-            "rep": self.rep,
-            "hbar": self.hbar,
-        }
-        with open(f"{prefix}.json", "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-
-    @staticmethod
-    def load(prefix: str) -> "GridState2D":
-        with open(f"{prefix}.json") as fh:
-            meta = json.load(fh)
-        return GridState2D(
-            axis1=GridAxis(**meta["axis1"]),
-            axis2=GridAxis(**meta["axis2"]),
-            amps=np.load(f"{prefix}.npy"),
-            rep=meta["rep"],
-            hbar=meta["hbar"],
-        )
 
 
 def gaussian_profile(center: float = 0.0, width: float = 1.0):

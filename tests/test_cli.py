@@ -1,5 +1,6 @@
 """End-to-end checks for the scenario runner: exit codes, reports, determinism."""
 
+import hashlib
 import json
 import re
 import subprocess
@@ -205,11 +206,22 @@ class TestDeterminism:
         b = (tmp_path / "two" / "report.json").read_text()
         assert strip_wall_time(a) == strip_wall_time(b)
 
+    #: sha256 of the CSV sidecars of the README run, pinned with its report
+    README_SIDECARS = {
+        "charges_n-1.csv": "eda0fdd6c3aea11ca4950bb98eb6ab2dd7e2dc4dbb0002990040afe94c90cabe",
+        "charges_n-2.csv": "acaad3ff54350d8b35e1f7ad5d7825e8f048011e6ad609782148492a7d82c880",
+        "charges_n1.csv": "2bb72dde886024269a8a188bfe8e518ba39aa0e3f5d554d002ed496e529148bc",
+        "charges_n3.csv": "6399c5df3995280eb771538338caf974e6383408dad4a89ef14ba507bbc57add",
+        "charges_n4.csv": "6fed1876c0b7831c1ecfbea7983e9ed730b6ede2ba7bc691e33531896a07e499",
+        "schmidt_vs_alpha.csv": "048a1db953cebd835262a67208b3aacc303981c181cd89f88d585443ce2b4d47",
+    }
+
     def test_readme_report_matches_its_pin(self, tmp_path, capsys):
         """The README scenario's report.json, with its wall_time_s line
-        removed, is byte for byte tests/data/readme_report.json. A change
-        that moves report values regenerates this pin on purpose, as it
-        does bench/reference.json, and lists every moved value."""
+        removed, is byte for byte tests/data/readme_report.json, and its CSV
+        sidecars hash to README_SIDECARS. A change that moves report values
+        regenerates these pins on purpose, as it does bench/reference.json,
+        and lists every moved value."""
         body = {"suite": "all", "potential": {"g": 1.0, "n": 4.0}, "lms": {"alpha": 1.3},
                 "seed": 17}
         sc = write_scenario(tmp_path, body)
@@ -218,6 +230,9 @@ class TestDeterminism:
         raw = (tmp_path / "rep" / "report.json").read_bytes()
         pin = Path(__file__).parent / "data" / "readme_report.json"
         assert re.sub(rb',\n  "wall_time_s": [^\n]+', b"", raw) == pin.read_bytes()
+        sidecars = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in (tmp_path / "rep").glob("*.csv")}
+        assert sidecars == self.README_SIDECARS
 
     def test_csv_sidecars_identical(self, tmp_path):
         body = {"suite": "charges", "potential": {"g": 1.0, "n": 4.0}}

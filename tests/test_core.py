@@ -7,7 +7,6 @@ import pytest
 
 from kvnlab.core import (
     ExtendedPoint,
-    HbarContext,
     LmsParams,
     MonomialPotential,
     PhasePoint,
@@ -153,15 +152,6 @@ class TestPoints:
     def test_phase_point_fields(self):
         pp = PhasePoint(0.5, -0.25)
         assert (pp.q, pp.p) == (0.5, -0.25)
-
-
-class TestHbarContext:
-    def test_positive_only(self):
-        assert HbarContext(0.5).hbar == 0.5
-        with pytest.raises(UndefinedError):
-            HbarContext(0.0)
-        with pytest.raises(UndefinedError):
-            HbarContext(-1.0)
 
 
 class TestLmsParams:

@@ -49,6 +49,17 @@ def test_start_inside_the_guard_radius_is_a_domain_error(n):
             flow_map_batch([1.0, q0], [0.0, 3.0], pot, 0.1)
 
 
+def test_zero_time_batch_checks_its_start_and_returns_its_input():
+    # no step is taken at t = 0, but the start guard still runs
+    with pytest.raises(DomainError):
+        flow_map_batch([5e-7, -1.0], [3.0, 0.0], MonomialPotential(1.0, -2.0), 0.0)
+    rng = np.random.default_rng(5)
+    qs = rng.uniform(-2.0, 2.0, BLOCK + 5)
+    ps = rng.uniform(-2.0, 2.0, BLOCK + 5)
+    q0, p0 = flow_map_batch(qs, ps, QUARTIC, 0.0)
+    assert q0.tobytes() == qs.tobytes() and p0.tobytes() == ps.tobytes()
+
+
 def oracle(pot, y0, times):
     """The (q, p, lq, lp) flow at ``times`` by scipy's DOP853 at 1e-13, an
     integrator independent of the library's Taylor kernel."""
@@ -79,6 +90,14 @@ def test_sample_times_gives_the_asked_interval_count(intervals):
             ts = sample_times(horizon, T / intervals)
             assert len(ts) == intervals + 1, (horizon, intervals)
             assert ts[-1] == horizon
+
+
+@pytest.mark.parametrize("dt", [-0.1, 0.0, math.nan])
+def test_sample_spacing_must_be_positive(dt):
+    with pytest.raises(ValueError, match="dt"):
+        sample_times(1.0, dt)
+    with pytest.raises(ValueError, match="dt"):
+        integrate(ExtendedPoint(1.0, 0.0, 0.0, 0.0), QUARTIC, 1.0, dt)
 
 
 class TestIntegrate:

@@ -49,7 +49,6 @@ from kvnlab.opalg import (
     q_c,
     q_op,
     t_sym,
-    weyl_substitute,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -340,14 +339,6 @@ class TestGeneratorConstruction:
                 continue
             lhs = build_C_hbar(expr).hbar_limit()
             assert lhs.equals(classical_vector_field(expr))
-
-    def test_weyl_symmetrizes(self):
-        q, p = q_op(), p_op()
-        # for XY the symmetric product is (XY + YX)/2; with [q, p] = 0 in
-        # this algebra the orderings coincide, so probe with q and lq
-        got = weyl_substitute(q_c * p_c, q, lq_op())
-        sym = (q * lq_op() + lq_op() * q).scale(sp.Rational(1, 2))
-        assert got.equals(sym)
 
     def test_inexact_division_raises(self):
         # q alone is not divisible by hbar

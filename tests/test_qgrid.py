@@ -17,7 +17,7 @@ import kvnlab
 from kvnlab import cli, qgrid
 from kvnlab.core import MonomialPotential
 from kvnlab.dynamics import flow_map_batch
-from kvnlab.errors import NonNormalizable, SupportExit
+from kvnlab.errors import NonNormalizable, SupportExit, UndefinedError
 from kvnlab.qgrid import (
     GRID_EXPONENTS,
     REP_QP,
@@ -185,15 +185,11 @@ class TestGridState:
         assert state.expectation(lambda x1, x2: x1) == pytest.approx(0.4, abs=1e-9)
         assert state.expectation(lambda x1, x2: x2) == pytest.approx(-0.3, abs=1e-9)
 
-    def test_save_load_roundtrip(self, tmp_path):
-        state = _qqbar_gaussian(count=32)
-        prefix = str(tmp_path / "state")
-        state.save(prefix)
-        back = GridState2D.load(prefix)
-        assert back.rep == state.rep
-        assert back.hbar == state.hbar
-        assert back.axis1 == state.axis1
-        assert np.array_equal(back.amps, state.amps)
+    def test_hbar_must_be_finite_and_positive(self):
+        ax = GridAxis(0.0, 4.0, 8)
+        for hbar in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(UndefinedError, match="hbar must be finite and positive"):
+                GridState2D(ax, ax, np.zeros((8, 8)), REP_QP, hbar)
 
 
 class TestLiouvilleTransport:
