@@ -43,10 +43,10 @@ base = eigensolve_newton_equiv(quartic, 1.0, 1.0, 4)
 print("\nquartic spectra under gamma (ratios follow gamma^(-1/3)):")
 for gamma in (0.5, 2.0, 10.0):
     res = eigensolve_newton_equiv(quartic, gamma, 1.0, 4)
-    ratio = float(np.mean(res.energies / base.energies))
+    ratio = float(np.mean(res / base))
     print(f"  gamma={gamma:5}: level ratio {ratio:.6f} vs {gamma ** (-1.0 / 3.0):.6f}")
 
 hb = eigensolve_newton_equiv(harmonic, 8.0, 1.0, 4)
 h1 = eigensolve_newton_equiv(harmonic, 1.0, 1.0, 4)
 print(f"\nharmonic exception: gamma=8 vs gamma=1 spectrum deviation "
-      f"{float(np.max(np.abs(hb.energies - h1.energies))):.2e}")
+      f"{float(np.max(np.abs(hb - h1))):.2e}")

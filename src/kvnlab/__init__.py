@@ -17,7 +17,6 @@ _SOURCE = {
     "ActionScaling": "symmetry",
     "BohrViolationReport": "semiclassics",
     "EPS_LIOUVILLIAN": "charges",
-    "EigenResult": "semiclassics",
     "ExtendedPoint": "core",
     "ExtendedTrajectory": "dynamics",
     "LmsParams": "core",

@@ -174,7 +174,10 @@ def _taylor_steps(pot: MonomialPotential, y0, T: float, order: int = ORDER,
     RMIN, SingularityAbort when a position of a guarded potential ends a
     step below RMIN, and when the step size falls to roundoff (or the
     series stops being finite) raises SingularityAbort if the steepest
-    lane moves toward a singular origin, else StepFailure."""
+    lane moves toward a singular origin, else StepFailure. A non-finite T
+    raises ValueError: the loop would never reach it."""
+    if not math.isfinite(T):
+        raise ValueError(f"horizon T must be finite, got {T!r}")
     y = np.array(y0, dtype=float)
     guarded, t = _guarded(pot), 0.0
     if not np.all(pot.admissible(y[0])) or (guarded and np.min(y[0]) < RMIN):
@@ -234,6 +237,8 @@ def sample_times(T: float, dt: float) -> np.ndarray:
     The grid has ceil(|T|/dt) intervals, and a dt that divides T up to
     roundoff gives exactly T/dt of them: T/(T/N) may round to N + 2e-16,
     which must not buy a stray sample."""
+    if not math.isfinite(T):
+        raise ValueError(f"horizon T must be finite, got {T!r}")
     if not dt > 0:
         raise ValueError(f"sample spacing dt must be positive, got {dt!r}")
     n = max(int(math.ceil(abs(T) / dt * (1.0 - 1e-12))), 1)

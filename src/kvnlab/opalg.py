@@ -27,8 +27,9 @@ The split basis is reached through the shifts
 
 which embed a Heisenberg pair and its opposite-sign copy inside the
 classical operator algebra. The shifts are ring constants (no sympy). The
-images of monomials under the shifts, their inverse and the symmetric
-ordering are memoised and only read through a scaling into fresh dicts.
+images of monomials under the shifts and their inverse are memoised and
+only read through a scaling into fresh dicts; the symmetric ordering is a
+closed-form sum over those images.
 hbar and t stay formal symbols; no result is computed in floating point.
 """
 
@@ -354,15 +355,13 @@ class OperatorPoly:
         """Exact equality of normal forms: their coefficient dicts agree."""
         if not isinstance(other, OperatorPoly):
             other = OperatorPoly.scalar(self.algebra, other)
-        return (self - other).is_zero()
+        self._check_same(other)
+        return self.terms == other.terms
 
     def __eq__(self, other):
         if not isinstance(other, OperatorPoly):
             return NotImplemented
         return self.algebra is other.algebra and self.equals(other)
-
-    def __hash__(self):
-        raise TypeError("OperatorPoly is mutable-by-construction; not hashable")
 
     # -- display --------------------------------------------------------
 
@@ -501,20 +500,6 @@ def _qp_terms(expr) -> tuple:
     return tuple((a, b, _coeff(c)) for (a, b), c in poly.terms())
 
 
-@functools.cache
-def _weyl_image(a: int, b: int, bar: bool) -> OperatorPoly:
-    """Symmetric-ordered image W(a, b) of q^a p^b over (Q, P), or (Qbar, Pbar)
-    when bar is set; read by _sum_scaled. X^a or Y^b for a pure power, else
-    (X W + W X)/2 with W = W(a-1, b), which Pascal's rule turns into McCoy's
-    2^(-a) sum_k C(a,k) X^k Y^b X^(a-k)."""
-    Q, P, Qb, Pb = bopp_operators()
-    X, Y = (Qb, Pb) if bar else (Q, P)
-    if a == 0:
-        return _weyl_image(0, b - 1, bar) * Y if b else OperatorPoly.scalar(X.algebra, 1)
-    w = _weyl_image(a - 1, b, bar)
-    return w * X if b == 0 else (X * w + w * X)._scaled(_HALF)
-
-
 def _require_monomial_exponent(pot: MonomialPotential) -> int:
     n = pot.n
     if not (float(n).is_integer() and n >= 1):
@@ -597,8 +582,16 @@ def build_C_hbar(expr) -> OperatorPoly:
     odd-derivative series and reduces to the classical vector field of C
     as hbar -> 0. expr may also be a tuple of terms, as for c_hbar_series."""
     terms = expr if isinstance(expr, tuple) else _qp_terms(expr)
-    pairs = [(c, _weyl_image(a, b, False)) for a, b, c in terms]
-    pairs += [({m: -v for m, v in c.items()}, _weyl_image(a, b, True)) for a, b, c in terms]
+    pairs = []
+    for a, b, c in terms:
+        for j in range(min(a, b) + 1):
+            # McCoy: symmetric-ordered X^a Y^b is sum_j j! C(a,j) C(b,j)
+            # (-[X, Y]/2)^j X^(a-j) Y^(b-j), where [Q, P] = i hbar = -[Qbar, Pbar]
+            w = Fraction(math.factorial(j) * math.comb(a, j) * math.comb(b, j), 2**j)
+            unbarred = {(j % 2, j, 0, 0, 0): w * (-1) ** ((j + 1) // 2)}
+            barred = {(j % 2, j, 0, 0, 0): -w * (-1) ** (j // 2)}
+            pairs.append((_cmul(c, unbarred), _monomial_image(KVN, (a - j, 0, b - j, 0))))
+            pairs.append((_cmul(c, barred), _monomial_image(KVN, (0, a - j, 0, b - j))))
     return _divide_by_hbar(_sum_scaled(KVN, pairs))
 
 

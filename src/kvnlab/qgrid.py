@@ -387,5 +387,4 @@ def schmidt(state: GridState2D) -> SchmidtSpectrum:
     The kernel is weighted by sqrt(dx1 dx2) so the squared singular
     values sum to the squared L2 norm."""
     m = state.amps * math.sqrt(state.cell)
-    s = np.linalg.svd(m, compute_uv=False)
-    return SchmidtSpectrum(values=np.sort(s)[::-1])
+    return SchmidtSpectrum(values=np.linalg.svd(m, compute_uv=False))

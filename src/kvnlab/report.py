@@ -26,7 +26,6 @@ CLAIMS = {
     "plumbing": "internal consistency of the toolkit, not a modeled claim",
     "extended-eom": "the auxiliary pair rides the linearized flow alongside the (q, p) motion",
     "energy-conservation": "the classical energy is constant along every trajectory",
-    "liouvillian-conservation": "the extended generator is constant along extended trajectories",
     "tangent-pairing": "the auxiliary sector stays dual to tangent vectors of the (q, p) flow",
     "similarity-charge-conserved": "the similarity charge is conserved for every admissible exponent",
     "harmonic-charge-conserved": "the harmonic variant of the charge is conserved at n = 2",

@@ -9,7 +9,7 @@ quadrature that the checks measure. Separately, the rescaled Lagrangian
 gamma*L yields H_gamma = p_gamma^2 / (2 gamma) + gamma V (mass 1 scaled
 by gamma) with identical q(t) but gamma-dependent spectra (except the
 harmonic case, whose frequency is gamma-free while its eigenfunction
-widths are not).
+widths are not); one finite-difference solve gives each spectrum.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from .errors import ConvergenceFailure, NoBoundOrbit, RangeExhausted
 
 #: Sample spacing of the side-by-side Newton-equivalent trajectories.
 NEWTON_EQUIV_DT = 0.01
+#: Interior grid points of the finite-difference eigensolver.
+EIGEN_COUNT = 2048
 
 
 def _bound_orbit_exponent(pot: MonomialPotential) -> int:
@@ -156,8 +158,8 @@ def newton_equiv_trajectory_check(
     Matching means equal q0 and equal initial velocity, i.e.
     p_gamma(0) = gamma p(0). Reported are the sup differences of q(t),
     of p_gamma(t) versus gamma p(t), and of H_gamma versus gamma H_st."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
 
     def run(gv):
         return sampled_flow(pot, (x0.q, gv * x0.p), T, NEWTON_EQUIV_DT, mass=gv)[1].T
@@ -174,16 +176,6 @@ def newton_equiv_trajectory_check(
     )
 
 
-@dataclass(frozen=True)
-class EigenResult:
-    """Lowest eigenvalues of the boxed H_gamma with a grid-halving error."""
-
-    energies: np.ndarray
-    error_estimate: np.ndarray
-    box_halfwidth: float
-    count: int
-
-
 def ground_width(pot: MonomialPotential, gamma: float, hbar: float) -> float:
     """Length where kinetic and potential scales balance for H_gamma."""
     n = _bound_orbit_exponent(pot)
@@ -191,37 +183,20 @@ def ground_width(pot: MonomialPotential, gamma: float, hbar: float) -> float:
 
 
 def eigensolve_newton_equiv(
-    pot: MonomialPotential,
-    gamma: float,
-    hbar: float,
-    k: int,
-    *,
-    count: int = 2048,
-) -> EigenResult:
-    """Finite-difference spectrum of -hbar^2/(2 gamma) d^2 + gamma V.
+    pot: MonomialPotential, gamma: float, hbar: float, k: int
+) -> np.ndarray:
+    """The k lowest eigenvalues of -hbar^2/(2 gamma) d^2 + gamma V, ascending.
 
-    Dirichlet box of 8 ground widths, second-order three-point stencil,
-    discretization error estimated by re-solving at half the grid count."""
-    if gamma <= 0 or hbar <= 0:
-        raise ValueError("gamma and hbar must be positive")
+    Finite differences on EIGEN_COUNT interior points of a Dirichlet box
+    of 8 ground widths, second-order three-point stencil."""
+    if not (0.0 < gamma < math.inf and 0.0 < hbar < math.inf):
+        raise ValueError(f"gamma and hbar must be finite and positive, got {gamma!r}, {hbar!r}")
     if k < 1:
         raise ValueError("need k >= 1 levels")
     box = 8.0 * ground_width(pot, gamma, hbar)
-
-    def solve(m_count):
-        h = 2.0 * box / (m_count + 1)
-        x = -box + h * np.arange(1, m_count + 1)
-        kin = hbar**2 / (2.0 * gamma * h**2)
-        diag = 2.0 * kin + gamma * pot.value(x)
-        off = np.full(m_count - 1, -kin)
-        vals = eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))[0]
-        return vals
-
-    fine = solve(count)
-    coarse = solve(count // 2)
-    return EigenResult(
-        energies=fine,
-        error_estimate=np.abs(fine - coarse),
-        box_halfwidth=box,
-        count=count,
-    )
+    h = 2.0 * box / (EIGEN_COUNT + 1)
+    x = -box + h * np.arange(1, EIGEN_COUNT + 1)
+    kin = hbar**2 / (2.0 * gamma * h**2)
+    diag = 2.0 * kin + gamma * pot.value(x)
+    off = np.full(EIGEN_COUNT - 1, -kin)
+    return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))[0]

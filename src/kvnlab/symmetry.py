@@ -38,22 +38,23 @@ def lms_map_point(x: ExtendedPoint, prm: LmsParams) -> ExtendedPoint:
     )
 
 
+def _scales(prm: LmsParams) -> np.ndarray:
+    """Factors (alpha, alpha^(n/2), 1/alpha, alpha^(-n/2)) of (q, p, lq, lp)."""
+    a, h = prm.alpha, prm.n / 2.0
+    return np.array([a, a**h, 1.0 / a, a**-h])
+
+
 def lms_map_trajectory(traj: ExtendedTrajectory, prm: LmsParams) -> ExtendedTrajectory:
     """Map a sampled trajectory, rescaling the time grid by alpha^(1-n/2)."""
-    a = prm.alpha
-    h = prm.n / 2.0
-    scale = np.array([a, a**h, 1.0 / a, a**-h])
     return ExtendedTrajectory(
-        times=traj.times * a ** (1.0 - h),
-        states=traj.states * scale,
+        times=traj.times * prm.alpha ** (1.0 - prm.n / 2.0),
+        states=traj.states * _scales(prm),
     )
 
 
 def lms_jacobian(prm: LmsParams) -> np.ndarray:
     """Diagonal Jacobian of the map in the (q, p, lq, lp) basis."""
-    a = prm.alpha
-    h = prm.n / 2.0
-    return np.diag([a, a**h, 1.0 / a, a**-h])
+    return np.diag(_scales(prm))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,16 @@
 """Extended equations of motion and flow utilities."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import kvnlab
 from kvnlab.core import ExtendedPoint, MonomialPotential
 from kvnlab.dynamics import (
     BLOCK,
@@ -98,6 +103,52 @@ def test_sample_spacing_must_be_positive(dt):
         sample_times(1.0, dt)
     with pytest.raises(ValueError, match="dt"):
         integrate(ExtendedPoint(1.0, 0.0, 0.0, 0.0), QUARTIC, 1.0, dt)
+
+
+#: Calls every public route into the Taylor kernel with each non-finite
+#: horizon and prints, as JSON, what each raised.
+NON_FINITE_HORIZON = """
+import json
+from kvnlab import qgrid
+from kvnlab.core import ExtendedPoint, MonomialPotential
+from kvnlab.dynamics import flow_map_batch, integrate, sample_times
+
+pot = MonomialPotential(1.0, 4.0)
+axis = qgrid.GridAxis(0.0, 4.0, 16)
+state = qgrid.make_separable(qgrid.gaussian_profile(0.0, 1.0), qgrid.gaussian_profile(0.0, 1.0),
+                             axis, axis, rep=qgrid.REP_QP, hbar=1.0)
+calls = {
+    "sample_times": lambda T: sample_times(T, 0.1),
+    "integrate": lambda T: integrate(ExtendedPoint(1.0, 0.0, 0.0, 0.0), pot, T),
+    "flow_map_batch": lambda T: flow_map_batch([1.0], [0.0], pot, T),
+    "evolve_liouville": lambda T: qgrid.evolve_liouville(state, pot, T),
+}
+raised = {}
+for T in (float("nan"), float("inf"), float("-inf")):
+    for name, call in calls.items():
+        try:
+            call(T)
+            raised[f"{name}({T})"] = None
+        except Exception as exc:
+            raised[f"{name}({T})"] = [type(exc).__name__, str(exc)]
+print(json.dumps(raised))
+"""
+
+
+def test_non_finite_horizon_is_refused():
+    # the kernel once stepped forever toward a NaN or infinite horizon, so
+    # the calls run in a child process that the timeout stops
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kvnlab.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NON_FINITE_HORIZON], capture_output=True,
+                          text=True, env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    raised = json.loads(proc.stdout.splitlines()[-1])
+    assert len(raised) == 12
+    for call, got in raised.items():
+        assert got is not None and got[0] == "ValueError", (call, got)
+        assert "horizon T must be finite" in got[1], (call, got)
 
 
 class TestIntegrate:

@@ -165,8 +165,7 @@ def test_importing_opalg_builds_no_image(tmp_path):
     code = (
         "import json, kvnlab.opalg as o\n"
         "print(json.dumps({name: getattr(o, name).cache_info().currsize\n"
-        "                  for name in ('_generator_images', '_monomial_image',\n"
-        "                               '_weyl_image', '_qp_terms')}))"
+        "                  for name in ('_generator_images', '_monomial_image', '_qp_terms')}))"
     )
     got = run_child(code, cwd=tmp_path)
-    assert got == {"_generator_images": 0, "_monomial_image": 0, "_weyl_image": 0, "_qp_terms": 0}
+    assert got == {"_generator_images": 0, "_monomial_image": 0, "_qp_terms": 0}
