@@ -9,10 +9,14 @@ introduces and ee the k of exp(k alpha) that a finite adjoint introduces.
 A value is an int or a Fraction. The monomials alpha^j exp(k alpha) are
 linearly independent, so two normal forms are equal exactly when their
 dicts are. Every computation is in this ring; sympy only reads values in
-(constructors, scale and _accumulate also take Rational or Expr, cosh and
-sinh rewritten through exp; observables C(q, p)) and out (coefficient(),
+(the constructor and scale also take Rational or Expr, cosh and sinh
+rewritten through exp; observables C(q, p)) and out (coefficient(),
 str()). Floating point only proposes the eigenvalues of a finite adjoint,
 which an exact test then accepts.
+Coefficients are accumulated in one way, _cmul(x, y, out), and every
+linear combination of operators (sum, difference, negation, scaling,
+adjoint, change of basis, series) is one _sum_scaled call, which works on
+integer numerators and leaves a whole value as an int.
 Two instances of the same engine are used:
 
 * the position algebra with generators q, p, lq, lp, canonical pairs
@@ -43,7 +47,7 @@ from fractions import Fraction
 import numpy as np
 import sympy as sp
 
-from .core import MonomialPotential
+from .core import MonomialPotential, _is_positive_integer
 from .errors import (
     HarmonicCaseError,
     InexactHbarDivision,
@@ -82,6 +86,8 @@ BOPP = Algebra(("Q", "Qbar", "P", "Pbar"), (1, 1), (-1, 1))
 
 _RING_SYMBOLS = (hbar, t_sym, alpha_sym)
 _UNIT = (0, 0, 0, 0, 0)
+_ONE = {_UNIT: 1}
+_MINUS_ONE = {_UNIT: -1}
 _HALF = {_UNIT: Fraction(1, 2)}
 _HALF_HBAR = {(0, 1, 0, 0, 0): Fraction(1, 2)}
 _INV_HBAR = {(0, -1, 0, 0, 0): 1}
@@ -110,7 +116,7 @@ def _coeff(value) -> dict:
     """Coefficient dict of an int, a Fraction, a coefficient dict, a sympy
     Rational or a sympy expression."""
     if isinstance(value, dict):
-        return {key: v for key, v in value.items() if v}
+        return {key: int(v) if v.denominator == 1 else v for key, v in value.items() if v}
     if isinstance(value, (int, Fraction)):
         value = int(value) if value.denominator == 1 else value
         return {_UNIT: value} if value else {}
@@ -137,7 +143,8 @@ def _coeff(value) -> dict:
                 raise _not_laurent(value)
         if not isinstance(num, sp.Rational):  # oo, -oo or nan
             raise _not_laurent(value)
-        out = _cadd(out, {tuple(key): _rational(num)})
+        if num:  # _cmul would store a zero entry
+            _cmul({tuple(key): _rational(num)}, _ONE, out)
     return out
 
 
@@ -147,17 +154,6 @@ def _expr(c: dict) -> sp.Expr:
         sp.sympify(v) * sp.I**ei * hbar**eh * t_sym**et * alpha_sym**ea * sp.exp(ee * alpha_sym)
         for (ei, eh, et, ea, ee), v in c.items()
     )))
-
-
-def _cadd(x: dict, y: dict) -> dict:
-    out = dict(x)
-    for key, v in y.items():
-        s = out.get(key, 0) + v
-        if s == 0:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return out
 
 
 def _cmul(x: dict, y: dict, out=None) -> dict:
@@ -190,50 +186,26 @@ class OperatorPoly:
 
     terms maps exponent keys (a, b, c, d) for g0^a g1^b g2^c g3^d to
     nonzero coefficient dicts (see the module docstring). Coefficient dicts
-    are never mutated once stored, so copies may share them.
+    are never mutated once stored, so results may share them. Sums and
+    scalings go through _sum_scaled, so a whole value in them is an int;
+    a product holds what _cmul's exact multiply gives.
     """
 
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra: Algebra, terms=None):
         self.algebra = algebra
-        self.terms = {}
-        if terms:
-            for key, coeff in terms.items():
-                self._accumulate(tuple(int(e) for e in key), coeff)
-
-    def _accumulate(self, key, coeff):
-        """Add a coefficient at key, in any form _coeff takes."""
-        self._add(key, _coeff(coeff))
-
-    def _add(self, key, c: dict):
-        if not c:
-            return
-        old = self.terms.get(key)
-        if old is None:
-            self.terms[key] = c
-            return
-        s = _cadd(old, c)
-        if s:
-            self.terms[key] = s
-        else:
-            del self.terms[key]
-
-    def _add_poly(self, other: "OperatorPoly"):
-        for key, c in other.terms.items():
-            self._add(key, c)
+        acc = {}
+        for key, coeff in (terms or {}).items():
+            if len(key) != 4 or not all(float(e).is_integer() and e >= 0 for e in key):
+                raise ValueError(f"exponent key {key!r} is not four non-negative integers")
+            _cmul(_coeff(coeff), _ONE, acc.setdefault(tuple(int(e) for e in key), {}))
+        self.terms = {key: c for key, c in acc.items() if c}
 
     def _scaled(self, f: dict) -> "OperatorPoly":
-        out = OperatorPoly(self.algebra)
-        for key, c in self.terms.items():
-            out._add(key, _cmul(c, f))
-        return out
+        return _sum_scaled(self.algebra, [(f, self)])
 
     # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def zero(algebra: Algebra) -> "OperatorPoly":
-        return OperatorPoly(algebra)
 
     @staticmethod
     def scalar(algebra: Algebra, value) -> "OperatorPoly":
@@ -245,36 +217,26 @@ class OperatorPoly:
         key[slot] = 1
         return OperatorPoly(algebra, {tuple(key): 1})
 
-    def copy(self) -> "OperatorPoly":
-        out = OperatorPoly(self.algebra)
-        out.terms = dict(self.terms)
-        return out
-
     # -- ring structure -----------------------------------------------
 
-    def _check_same(self, other):
+    def _check_same(self, other) -> "OperatorPoly":
+        """other, a scalar read as an operator, in this algebra."""
+        if not isinstance(other, OperatorPoly):
+            return OperatorPoly.scalar(self.algebra, other)
         if self.algebra is not other.algebra:
             raise ValueError("operands live in different algebras")
+        return other
 
     def __add__(self, other):
-        if not isinstance(other, OperatorPoly):
-            other = OperatorPoly.scalar(self.algebra, other)
-        self._check_same(other)
-        out = self.copy()
-        out._add_poly(other)
-        return out
+        return _sum_scaled(self.algebra, [(_ONE, self), (_ONE, self._check_same(other))])
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = OperatorPoly(self.algebra)
-        out.terms = {k: {m: -v for m, v in c.items()} for k, c in self.terms.items()}
-        return out
+        return self._scaled(_MINUS_ONE)
 
     def __sub__(self, other):
-        if not isinstance(other, OperatorPoly):
-            other = OperatorPoly.scalar(self.algebra, other)
-        return self + (-other)
+        return _sum_scaled(self.algebra, [(_ONE, self), (_MINUS_ONE, self._check_same(other))])
 
     def __rsub__(self, other):
         return OperatorPoly.scalar(self.algebra, other) - self
@@ -286,36 +248,32 @@ class OperatorPoly:
         if not isinstance(other, OperatorPoly):
             return self.scale(other)
         self._check_same(other)
-        out = OperatorPoly(self.algebra)
+        acc = {}
         # Contracting j (g2, g0) and l (g3, g1) pairs multiplies by
         # nj * nl * (-[g0, g2])^j (-[g1, g3])^l: an int times the monomial
         # i^(j+l) hbar^(h02 j + h13 l), with i^2 = -1 folded into the int.
         (s02, h02), (s13, h13) = self.algebra.c02, self.algebra.c13
         for (a1, b1, c1, d1), x in self.terms.items():
             for (a2, b2, c2, d2), y in other.terms.items():
+                _cmul(x, y, acc.setdefault((a1 + a2, b1 + b2, c1 + c2, d1 + d2), {}))
+                if not (c1 and a2 or d1 and b2):  # no contraction, the common case
+                    continue
                 xy = _cmul(x, y)
                 for j in range(min(c1, a2) + 1):
                     nj = math.comb(c1, j) * math.comb(a2, j) * math.factorial(j) * (-s02) ** j
                     for l in range(min(d1, b2) + 1):
-                        key = (a1 + a2 - j, b1 + b2 - l, c1 + c2 - j, d1 + d2 - l)
-                        if j == l == 0:  # no contraction, the common case
-                            out._add(key, xy)
+                        if j == l == 0:
                             continue
                         nl = math.comb(d1, l) * math.comb(b2, l) * math.factorial(l) * (-s13) ** l
                         m = nj * nl * (-1) ** ((j + l) // 2)
-                        out._add(key, _cmul(xy, {((j + l) % 2, h02 * j + h13 * l, 0, 0, 0): m}))
+                        _cmul(xy, {((j + l) % 2, h02 * j + h13 * l, 0, 0, 0): m},
+                              acc.setdefault((a1 + a2 - j, b1 + b2 - l, c1 + c2 - j, d1 + d2 - l), {}))
+        out = OperatorPoly(self.algebra)
+        out.terms = {key: c for key, c in acc.items() if c}
         return out
 
     def __rmul__(self, other):
         return self.scale(other)
-
-    def power(self, k: int) -> "OperatorPoly":
-        if k < 0:
-            raise ValueError("negative operator power")
-        out = OperatorPoly.scalar(self.algebra, 1)
-        for _ in range(k):
-            out = out * self
-        return out
 
     # -- involution and coefficient maps --------------------------------
 
@@ -324,12 +282,10 @@ class OperatorPoly:
 
         All four generators are self-adjoint, so each monomial reverses to
         g3^d g2^c g1^b g0^a, which is re-normal-ordered by the product."""
-        out = OperatorPoly.zero(self.algebra)
-        for (a, b, c, d), coeff in self.terms.items():
-            left = OperatorPoly(self.algebra, {(0, 0, c, d): 1})
-            right = OperatorPoly(self.algebra, {(a, b, 0, 0): 1})
-            out._add_poly((left * right)._scaled(_cconj(coeff)))
-        return out
+        return _sum_scaled(self.algebra, [
+            (_cconj(coeff), OperatorPoly(self.algebra, {(0, 0, c, d): 1})
+             * OperatorPoly(self.algebra, {(a, b, 0, 0): 1}))
+            for (a, b, c, d), coeff in self.terms.items()])
 
     def hbar_limit(self) -> "OperatorPoly":
         """Coefficient-wise hbar -> 0 part; a negative hbar power raises."""
@@ -339,7 +295,8 @@ class OperatorPoly:
                 raise SingularHbarLimit(
                     f"coefficient {_expr(coeff)} of {key} diverges as hbar -> 0"
                 )
-            out._add(key, {m: v for m, v in coeff.items() if m[1] == 0})
+            if c := {m: v for m, v in coeff.items() if m[1] == 0}:
+                out.terms[key] = c
         return out
 
     def coefficient(self, key) -> sp.Expr:
@@ -353,10 +310,7 @@ class OperatorPoly:
 
     def equals(self, other) -> bool:
         """Exact equality of normal forms: their coefficient dicts agree."""
-        if not isinstance(other, OperatorPoly):
-            other = OperatorPoly.scalar(self.algebra, other)
-        self._check_same(other)
-        return self.terms == other.terms
+        return self.terms == self._check_same(other).terms
 
     def __eq__(self, other):
         if not isinstance(other, OperatorPoly):
@@ -501,10 +455,9 @@ def _qp_terms(expr) -> tuple:
 
 
 def _require_monomial_exponent(pot: MonomialPotential) -> int:
-    n = pot.n
-    if not (float(n).is_integer() and n >= 1):
-        raise NonPolynomialPotential(f"operator constructions need integer n >= 1, got {n}")
-    return int(n)
+    if not _is_positive_integer(pot.n):
+        raise NonPolynomialPotential(f"operator constructions need integer n >= 1, got {pot.n}")
+    return int(pot.n)
 
 
 @functools.cache
@@ -515,7 +468,7 @@ def _hamiltonian(pot: MonomialPotential) -> tuple:
 
 
 def _divide_by_hbar(x: OperatorPoly) -> OperatorPoly:
-    out = OperatorPoly.zero(x.algebra)
+    out = OperatorPoly(x.algebra)
     for key, coeff in x.terms.items():
         if any(m[1] < 1 for m in coeff):
             raise InexactHbarDivision(
@@ -555,10 +508,10 @@ def c_hbar_series(expr, jmax: int) -> OperatorPoly:
         for k in range(order + 1):
             # d_p^(order-k) d_q^k of C, q before p
             deriv = OperatorPoly(KVN)
-            for a, b, c in terms:
-                if a >= k and b >= order - k:
-                    m = math.perm(a, k) * math.perm(b, order - k)
-                    deriv._add((a - k, b - order + k, 0, 0), _cmul(c, {_UNIT: m}))
+            deriv.terms = {  # distinct keys, nonzero multiples
+                (a - k, b - order + k, 0, 0): {
+                    key: v * math.perm(a, k) * math.perm(b, order - k) for key, v in c.items()}
+                for a, b, c in terms if a >= k and b >= order - k}
             if deriv.is_zero():
                 continue
             lam = OperatorPoly(KVN, {(0, 0, order - k, k): 1})
@@ -638,7 +591,7 @@ class LeakReport:
 
 def leak_detect(x: OperatorPoly) -> LeakReport:
     conv = kvn_to_bopp(x)
-    barred = OperatorPoly.zero(BOPP)
+    barred = OperatorPoly(BOPP)
     for key, coeff in conv.terms.items():
         if key[1] > 0 or key[3] > 0:
             barred.terms[key] = coeff
@@ -665,19 +618,18 @@ def _putzer_step(f: dict, lam: int) -> dict:
     P = c sum_i (-1)^i j!/(j-i)! s^(j-i) / d^(i+1), d = mu - lam, and the
     homogeneous part C exp(lam s) sets r(0) = 0."""
     r = {}
-
-    def add(j, mu, c):
-        r[0, 0, 0, j, mu] = r.get((0, 0, 0, j, mu), 0) + c
-
-    for (_, _, _, j, mu), c in f.items():
+    for key, c in f.items():
+        # each piece of r is the term c s^j exp(mu s) times a Laurent factor
+        j, mu = key[3], key[4]
         if mu == lam:
-            add(j + 1, lam, Fraction(c, j + 1))
-            continue
-        d = Fraction(mu - lam)
-        for i in range(j + 1):
-            add(j - i, mu, c * (-1) ** i * math.perm(j, i) / d ** (i + 1))
-        add(0, lam, -c * (-1) ** j * math.factorial(j) / d ** (j + 1))
-    return _coeff(r)
+            factor = {(0, 0, 0, 1, 0): Fraction(1, j + 1)}
+        else:  # P(s) exp(mu s) and the homogeneous part C exp(lam s)
+            d = Fraction(mu - lam)
+            factor = {(0, 0, 0, -i, 0): (-1) ** i * math.perm(j, i) / d ** (i + 1)
+                      for i in range(j + 1)}
+            factor[0, 0, 0, -j, lam - mu] = -(-1) ** j * math.factorial(j) / d ** (j + 1)
+        _cmul({key: c}, factor, r)
+    return r
 
 
 def _exp_apply(cols: list, x: list) -> list:

@@ -3,6 +3,7 @@
 import importlib.util
 import itertools
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -55,12 +56,12 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 def _rand_poly(rng, algebra, max_deg=2, terms=3):
-    out = OperatorPoly.zero(algebra)
+    out = OperatorPoly(algebra)
     for _ in range(terms):
         key = tuple(int(rng.integers(0, max_deg + 1)) for _ in range(4))
         coeff = int(rng.integers(-3, 4))
         if coeff:
-            out._accumulate(key, sp.Integer(coeff))
+            out = out + OperatorPoly(algebra, {key: sp.Integer(coeff)})
     return out
 
 
@@ -126,13 +127,20 @@ class TestRingAxioms:
 
 
 class TestCoefficientBoundary:
-    def test_accumulate_takes_sympy_integers(self):
-        x = OperatorPoly.zero(KVN)
-        x._accumulate((1, 0, 2, 0), sp.Integer(3))
-        x._accumulate((1, 0, 2, 0), sp.Integer(-1))
-        assert x.equals((q_op() * lq_op().power(2)).scale(2))
-        x._accumulate((1, 0, 2, 0), -2)
+    def test_constructor_takes_sympy_integers(self):
+        x = OperatorPoly(KVN, {(1, 0, 2, 0): sp.Integer(3)})
+        x = x + OperatorPoly(KVN, {(1, 0, 2, 0): sp.Integer(-1)})
+        assert x.equals((q_op() * lq_op() * lq_op()).scale(2))
+        x = x + OperatorPoly(KVN, {(1, 0, 2, 0): -2})
         assert x.is_zero()
+
+    @pytest.mark.parametrize("key", [(1.5, 0, 0, 0), (-1, 0, 0, 0), (1, 0, 0), (1, 0, 0, 0, 0)])
+    def test_exponent_keys_are_four_non_negative_integers(self, key):
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            OperatorPoly(KVN, {key: 1})
+
+    def test_integral_float_exponents_read_as_ints(self):
+        assert OperatorPoly(KVN, {(2.0, 0, 0, 0): 1}).terms == {(2, 0, 0, 0): {(0, 0, 0, 0, 0): 1}}
 
     def test_sympy_input_lands_in_the_ring(self):
         x = OperatorPoly.scalar(KVN, sp.I * t_sym / hbar + hbar / 2 + 3)
@@ -161,12 +169,23 @@ class TestCoefficientBoundary:
                                                       REPO / "bench" / "workloads.py")
         workloads = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
+        results = []
         for terms in workloads.observables(602):
             expr = sum(c * q_c**a * p_c**b for c, a, b in terms)
-            for x in (build_C_hbar(expr), c_hbar_series(expr, workloads.series_order(terms))):
-                whole = [v for c in x.terms.values() for v in c.values()
-                         if isinstance(v, Fraction) and v.denominator == 1]
-                assert whole == [], expr
+            results += [(expr, build_C_hbar(expr)),
+                        (expr, c_hbar_series(expr, workloads.series_order(terms)))]
+        # and the sums, scalings and adjoints of the opalg suite
+        half = OperatorPoly.scalar(KVN, Fraction(1, 2))
+        results += [("sum", half + OperatorPoly.scalar(KVN, Fraction(3, 2))),
+                    ("scale", half.scale(2))]
+        Q = bopp_operators()[0]
+        for n in (1, 3, 4):
+            a = lms_quantum_generator(MonomialPotential(1.0, float(n)))
+            results += [(n, a), (n, a.dagger()), (n, commutator(a, Q))]
+        for name, x in results:
+            whole = [v for c in x.terms.values() for v in c.values()
+                     if isinstance(v, Fraction) and v.denominator == 1]
+            assert whole == [], name
 
     def test_float_coefficients_rejected(self):
         with pytest.raises(TypeError, match="0.5"):
@@ -244,8 +263,8 @@ class TestGeneratorConstruction:
         q, p, lq, lp = q_op(), p_op(), lq_op(), lp_op()
         expected = (
             lq * p
-            - lp * q.power(3)
-            - (lp.power(3) * q).scale(hbar**2 * sp.Rational(1, 4))
+            - lp * q * q * q
+            - (lp * lp * lp * q).scale(hbar**2 * sp.Rational(1, 4))
         )
         assert G.equals(expected)
 
