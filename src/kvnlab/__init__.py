@@ -24,7 +24,6 @@ _SOURCE = {
     "MonomialPotential": "core",
     "NewtonEquivReport": "semiclassics",
     "PhasePoint": "core",
-    "ScalarField4": "charges",
     "action_integral": "semiclassics",
     "action_kvn": "symmetry",
     "action_standard": "symmetry",
@@ -36,27 +35,26 @@ _SOURCE = {
     "energy": "dynamics",
     "epb": "charges",
     "errors": "errors",
+    "fd_gradient": "charges",
     "flow_map_batch": "dynamics",
-    "gradient": "charges",
     "ground_width": "semiclassics",
     "infinitesimal_lms": "symmetry",
     "integrate": "dynamics",
     "lms_bohr_violation": "semiclassics",
     "lms_charge": "charges",
     "lms_charge0": "charges",
-    "lms_charge0_field": "charges",
+    "lms_charge0_gradient": "charges",
     "lms_charge_harmonic": "charges",
     "lms_jacobian": "symmetry",
     "lms_map_point": "symmetry",
     "lms_map_trajectory": "symmetry",
     "lms_params_from_alpha": "core",
     "lms_params_from_beta": "core",
-    "liouvillian_field": "charges",
+    "liouvillian_gradient": "charges",
     "liouvillian_value": "charges",
     "newton_equiv_trajectory_check": "semiclassics",
     "opalg": "opalg",
     "qgrid": "qgrid",
-    "strip_gradient": "charges",
     "turning_points": "semiclassics",
     "virasoro_charge": "charges",
 }

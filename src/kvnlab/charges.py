@@ -16,9 +16,6 @@ tower: L_{-1} is the generator itself and L_0 is D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
-
 import numpy as np
 
 from .core import ExtendedPoint, MonomialPotential
@@ -88,27 +85,9 @@ def virasoro_charge(x: ExtendedPoint, pot: MonomialPotential, t, m):
     return h * u ** (1 + int(m))
 
 
-@dataclass(frozen=True)
-class ScalarField4:
-    """Scalar observable on the extended phase space.
-
-    fn maps an ExtendedPoint to a float; grad, when supplied, returns the
-    4-gradient (d/dq, d/dp, d/dlq, d/dlp) and switches the bracket to the
-    analytic path.
-    """
-
-    fn: Callable[[ExtendedPoint], float]
-    grad: Optional[Callable[[ExtendedPoint], np.ndarray]] = None
-
-    @property
-    def has_gradient(self) -> bool:
-        return self.grad is not None
-
-    def __call__(self, x: ExtendedPoint) -> float:
-        return self.fn(x)
-
-
-def _fd_gradient(field: ScalarField4, x: ExtendedPoint) -> np.ndarray:
+def fd_gradient(fn, x: ExtendedPoint) -> np.ndarray:
+    """Central-difference 4-gradient at x of ``fn``, any callable of an
+    ExtendedPoint: the oracle for the analytic gradients below."""
     base = x.as_array()
     out = np.empty(4)
     for i in range(4):
@@ -118,55 +97,34 @@ def _fd_gradient(field: ScalarField4, x: ExtendedPoint) -> np.ndarray:
         up[i] += h
         dn[i] -= h
         out[i] = (
-            field(ExtendedPoint.from_array(up)) - field(ExtendedPoint.from_array(dn))
+            fn(ExtendedPoint.from_array(up)) - fn(ExtendedPoint.from_array(dn))
         ) / (2.0 * h)
     return out
 
 
-def gradient(field: ScalarField4, x: ExtendedPoint) -> np.ndarray:
-    """Analytic gradient when available, else central differences."""
-    g = field.grad(x) if field.has_gradient else _fd_gradient(field, x)
-    g = np.asarray(g, dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise NonFiniteGradient(f"gradient at {x} has non-finite components")
-    return g
+def epb(df, dg) -> float:
+    """Extended Poisson bracket {f, g} from the 4-gradients of f and g.
 
-
-def epb(f: ScalarField4, g: ScalarField4, x: ExtendedPoint) -> float:
-    """Extended Poisson bracket {f, g} at x.
-
-    The canonical pairs are (q, lq) and (p, lp):
+    Gradients are ordered (d/dq, d/dp, d/dlq, d/dlp), and the canonical
+    pairs are (q, lq) and (p, lp):
     {f,g} = f_q g_lq - f_lq g_q + f_p g_lp - f_lp g_p.
     """
-    df = gradient(f, x)
-    dg = gradient(g, x)
+    if not np.isfinite([df, dg]).all():
+        raise NonFiniteGradient(f"gradients {df}, {dg} have non-finite components")
     return df[0] * dg[2] - df[2] * dg[0] + df[1] * dg[3] - df[3] * dg[1]
 
 
-def liouvillian_field(pot: MonomialPotential) -> ScalarField4:
-    """H_ext as a bracket-ready field with analytic gradient."""
-
-    def grad(x):
-        v1, v2 = pot.derivs(x.q)
-        return np.array([-x.lp * v2, x.lq, x.p, -v1])
-
-    return ScalarField4(fn=lambda x: liouvillian_value(x, pot), grad=grad)
+def liouvillian_gradient(x: ExtendedPoint, pot: MonomialPotential) -> np.ndarray:
+    """Analytic 4-gradient of H_ext at x."""
+    v1, v2 = pot.derivs(x.q)
+    return np.array([-x.lp * v2, x.lq, x.p, -v1])
 
 
-def lms_charge0_field(pot: MonomialPotential) -> ScalarField4:
-    """D0 as a bracket-ready field with analytic gradient (n != 2)."""
+def lms_charge0_gradient(x: ExtendedPoint, pot: MonomialPotential) -> np.ndarray:
+    """Analytic 4-gradient of D0 at x (n != 2)."""
     n = pot.n
     if n == 2.0:
         raise HarmonicCaseError("use the harmonic charge for n = 2")
     a = 2.0 / (2.0 - n)
     b = n / (2.0 - n)
-
-    def grad(x):
-        return np.array([-a * x.lq, -b * x.lp, -a * x.q, -b * x.p])
-
-    return ScalarField4(fn=lambda x: lms_charge0(x, pot), grad=grad)
-
-
-def strip_gradient(field: ScalarField4) -> ScalarField4:
-    """Same observable with the analytic gradient dropped (forces FD mode)."""
-    return ScalarField4(fn=field.fn, grad=None)
+    return np.array([-a * x.lq, -b * x.lp, -a * x.q, -b * x.p])

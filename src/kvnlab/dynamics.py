@@ -163,13 +163,13 @@ def _poly(c, tau):
     return c[0] + np.dot(tau ** np.arange(1, len(c)), rest).reshape(c.shape[1:])
 
 
-def _taylor_steps(pot: MonomialPotential, y0, T: float, order: int = ORDER,
-                  mass: float = 1.0):
+def _taylor_steps(pot: MonomialPotential, y0, T: float, mass: float = 1.0):
     """Advance y0 from t = 0 to T (either sign), one Taylor step at a time.
 
     Yields (t, h, c, y) per step: its start, its signed size, its
     coefficients and the state at its end, where the last step ends at T
-    exactly. All lanes of y0 share every step. Raises DomainError for a
+    exactly. All lanes of y0 share every step, of order BATCH_ORDER when
+    y0 has a lane axis and ORDER otherwise. Raises DomainError for a
     start outside the domain or, where the potential is guarded, below
     RMIN, SingularityAbort when a position of a guarded potential ends a
     step below RMIN, and when the step size falls to roundoff (or the
@@ -180,6 +180,7 @@ def _taylor_steps(pot: MonomialPotential, y0, T: float, order: int = ORDER,
         raise ValueError(f"horizon T must be finite, got {T!r}")
     y = np.array(y0, dtype=float)
     guarded, t = _guarded(pot), 0.0
+    order = BATCH_ORDER if y.ndim > 1 else ORDER
     if not np.all(pot.admissible(y[0])) or (guarded and np.min(y[0]) < RMIN):
         raise DomainError(f"initial q={float(np.min(y[0]))!r} outside the potential "
                           f"domain or guard radius {RMIN!r}")
@@ -268,7 +269,7 @@ def flow_map_batch(qs, ps, pot: MonomialPotential, t: float):
     out = np.stack([qs, ps])
     for lo in range(0, qs.size, BLOCK):
         block = y = out[:, lo:lo + BLOCK]
-        for *_, y in _taylor_steps(pot, block, t, order=BATCH_ORDER):
+        for *_, y in _taylor_steps(pot, block, t):
             pass
         block[:] = y
     return out[0], out[1]

@@ -116,7 +116,10 @@ def _coeff(value) -> dict:
     """Coefficient dict of an int, a Fraction, a coefficient dict, a sympy
     Rational or a sympy expression."""
     if isinstance(value, dict):
-        return {key: int(v) if v.denominator == 1 else v for key, v in value.items() if v}
+        out = {}
+        for key, v in value.items():  # each value is read as a scalar
+            _cmul({key: 1}, _coeff(v), out)
+        return out
     if isinstance(value, (int, Fraction)):
         value = int(value) if value.denominator == 1 else value
         return {_UNIT: value} if value else {}
@@ -186,9 +189,9 @@ class OperatorPoly:
 
     terms maps exponent keys (a, b, c, d) for g0^a g1^b g2^c g3^d to
     nonzero coefficient dicts (see the module docstring). Coefficient dicts
-    are never mutated once stored, so results may share them. Sums and
-    scalings go through _sum_scaled, so a whole value in them is an int;
-    a product holds what _cmul's exact multiply gives.
+    are never mutated once stored, so results may share them. A whole value
+    is stored as an int: sums and scalings go through _sum_scaled, and a
+    product converts its whole values once it is done.
     """
 
     __slots__ = ("algebra", "terms")
@@ -269,7 +272,8 @@ class OperatorPoly:
                         _cmul(xy, {((j + l) % 2, h02 * j + h13 * l, 0, 0, 0): m},
                               acc.setdefault((a1 + a2 - j, b1 + b2 - l, c1 + c2 - j, d1 + d2 - l), {}))
         out = OperatorPoly(self.algebra)
-        out.terms = {key: c for key, c in acc.items() if c}
+        out.terms = {key: {m: int(v) if v.denominator == 1 else v for m, v in c.items()}
+                     for key, c in acc.items() if c}
         return out
 
     def __rmul__(self, other):

@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 from scipy.interpolate import RectBivariateSpline
 
 from .core import MonomialPotential
@@ -221,7 +220,7 @@ def _strang_propagator(axis: GridAxis, pot: MonomialPotential, hbar: float,
     half = np.exp(-0.5j * dt * pot.value(axis.points()) / hbar)
     kin = np.exp(-0.5j * dt * hbar * axis.wavenumbers() ** 2)
     # row j is the image of e_j; U is symmetric, so that is U itself
-    u = scipy.fft.ifft(scipy.fft.fft(np.diag(half)) * kin) * half
+    u = np.fft.ifft(np.fft.fft(np.diag(half)) * kin) * half
     c = math.pi / 7.0
     w, o = np.linalg.eigh(u.real + c * u.imag)
     other = u.imag - c * u.real
@@ -268,7 +267,7 @@ def evolve_G(
 def _warn_if_aliased(psi):
     """Warn when the highest wavenumbers, FFT indices n/2 +- n/8 of either
     axis, hold more than 1e-6 of the spectral weight."""
-    spec = np.abs(scipy.fft.fft2(psi)) ** 2
+    spec = np.abs(np.fft.fft2(psi)) ** 2
     total = float(spec.sum())
     if total == 0:
         return
@@ -310,8 +309,6 @@ def apply_lms_unitary_harmonic(state: GridState2D, alpha: float) -> GridState2D:
     mass = float(np.sum(np.abs(psi) ** 2))
     outer = _row_shifts(axes, pads, 0, math.tanh(0.5 * alpha))
     middle = _row_shifts(axes, pads, 1, math.sinh(alpha))
-    # psi is this function's own array from np.pad on, so the transforms
-    # may overwrite it
     for i, (axis, (shifts, phase)) in enumerate(((0, outer), (1, middle), (0, outer))):
         carried = _carried(psi, axis, axes[axis].dx, shifts)
         if carried > 1e-3 * mass:
@@ -319,9 +316,9 @@ def apply_lms_unitary_harmonic(state: GridState2D, alpha: float) -> GridState2D:
                 f"shear {i + 1} of 3 carries {carried / mass:.3e} of the squared norm "
                 "across the padded grid"
             )
-        psi = scipy.fft.fft(psi, axis=axis, overwrite_x=True)
+        psi = np.fft.fft(psi, axis=axis)
         psi *= phase
-        psi = scipy.fft.ifft(psi, axis=axis, overwrite_x=True)
+        psi = np.fft.ifft(psi, axis=axis)
     inner = psi[pads[0]:pads[0] + state.axis1.count, pads[1]:pads[1] + state.axis2.count]
     left = float(np.sum(np.abs(psi) ** 2) - np.sum(np.abs(inner) ** 2))
     if left > 1e-3 * mass:
@@ -342,7 +339,7 @@ def _row_shifts(axes, pads, axis: int, factor: float):
     rows = other.count + 2 * pad
     start = factor * (other.center - other.extent - pad * other.dx)
     step = factor * other.dx
-    k = 2.0 * np.pi * scipy.fft.fftfreq(axes[axis].count + 2 * pads[axis], d=axes[axis].dx)
+    k = 2.0 * np.pi * np.fft.fftfreq(axes[axis].count + 2 * pads[axis], d=axes[axis].dx)
     block = math.isqrt(rows - 1) + 1
     fine = np.exp(1j * np.multiply.outer(start + step * np.arange(block), k))
     coarse = np.exp(1j * np.multiply.outer(step * block * np.arange(-(-rows // block)), k))

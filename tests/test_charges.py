@@ -7,21 +7,24 @@ import pytest
 
 from kvnlab.charges import (
     EPS_LIOUVILLIAN,
-    ScalarField4,
     epb,
-    gradient,
-    liouvillian_field,
+    fd_gradient,
+    liouvillian_gradient,
     liouvillian_value,
     lms_charge,
     lms_charge0,
-    lms_charge0_field,
+    lms_charge0_gradient,
     lms_charge_harmonic,
-    strip_gradient,
     virasoro_charge,
 )
 from kvnlab.core import ExtendedPoint, MonomialPotential
 from kvnlab.dynamics import characteristic_time, integrate
-from kvnlab.errors import HarmonicCaseError, NegativeBaseError, NullLiouvillianError
+from kvnlab.errors import (
+    HarmonicCaseError,
+    NegativeBaseError,
+    NonFiniteGradient,
+    NullLiouvillianError,
+)
 
 FIXTURES = [
     (MonomialPotential(1.0, -2.0), ExtendedPoint(1.0, 1.2, 0.3, -0.2)),
@@ -60,8 +63,9 @@ def test_charge_combines_time_part():
 
 
 def test_charge0_rejects_harmonic():
-    with pytest.raises(HarmonicCaseError):
-        lms_charge0(ExtendedPoint(1.0, 0.0, 0.0, 0.0), MonomialPotential(1.0, 2.0))
+    for fn in (lms_charge0, lms_charge0_gradient):
+        with pytest.raises(HarmonicCaseError):
+            fn(ExtendedPoint(1.0, 0.0, 0.0, 0.0), MonomialPotential(1.0, 2.0))
 
 
 def test_harmonic_variant_value():
@@ -109,13 +113,14 @@ def test_charges_on_sample_columns_match_pointwise(pot, x0):
 class TestExtendedBracket:
     def test_canonical_pairs(self):
         # {q, lq} = 1, {p, lp} = 1, mixed pairs vanish
-        proj = [ScalarField4(lambda x, k=k: x.as_array()[k]) for k in range(4)]
+        proj = [lambda x, k=k: x.as_array()[k] for k in range(4)]
         x = ExtendedPoint(0.9, -0.3, 0.4, 1.1)
-        assert epb(proj[0], proj[2], x) == pytest.approx(1.0, abs=1e-8)
-        assert epb(proj[1], proj[3], x) == pytest.approx(1.0, abs=1e-8)
-        assert epb(proj[0], proj[1], x) == pytest.approx(0.0, abs=1e-8)
-        assert epb(proj[0], proj[3], x) == pytest.approx(0.0, abs=1e-8)
-        assert epb(proj[2], proj[3], x) == pytest.approx(0.0, abs=1e-8)
+        d = [fd_gradient(f, x) for f in proj]
+        assert epb(d[0], d[2]) == pytest.approx(1.0, abs=1e-8)
+        assert epb(d[1], d[3]) == pytest.approx(1.0, abs=1e-8)
+        assert epb(d[0], d[1]) == pytest.approx(0.0, abs=1e-8)
+        assert epb(d[0], d[3]) == pytest.approx(0.0, abs=1e-8)
+        assert epb(d[2], d[3]) == pytest.approx(0.0, abs=1e-8)
 
     def test_antisymmetry_random_fields(self):
         rng = np.random.default_rng(3)
@@ -128,17 +133,18 @@ class TestExtendedBracket:
             q, p, lq, lp = x.as_array()
             return lq * lp + q**3 - p * lq
 
-        ff, gg = ScalarField4(f), ScalarField4(g)
         for _ in range(10):
             x = ExtendedPoint(*rng.uniform(0.5, 1.5, 4))
-            assert epb(ff, gg, x) == pytest.approx(-epb(gg, ff, x), abs=1e-6)
+            df, dg = fd_gradient(f, x), fd_gradient(g, x)
+            assert epb(df, dg) == pytest.approx(-epb(dg, df), abs=1e-6)
 
     @pytest.mark.parametrize("pot,x0", FIXTURES)
     def test_charge_generates_rescale_fd(self, pot, x0):
         # finite-difference gradients: {H, D0} = H to 1e-6
-        hf = strip_gradient(liouvillian_field(pot))
-        df = strip_gradient(lms_charge0_field(pot))
-        lhs = epb(hf, df, x0)
+        lhs = epb(
+            fd_gradient(lambda x: liouvillian_value(x, pot), x0),
+            fd_gradient(lambda x: lms_charge0(x, pot), x0),
+        )
         rhs = liouvillian_value(x0, pot)
         assert abs(lhs - rhs) < 1e-6 * (1.0 + abs(rhs))
 
@@ -146,29 +152,39 @@ class TestExtendedBracket:
     def test_charge_generates_rescale_analytic(self, pot, x0):
         # analytic gradients: same identity at 1e-12
         rng = np.random.default_rng(11)
-        hf = liouvillian_field(pot)
-        df = lms_charge0_field(pot)
         for _ in range(25):
             x = ExtendedPoint(*rng.uniform(0.5, 2.0, 4))
-            lhs = epb(hf, df, x)
+            lhs = epb(liouvillian_gradient(x, pot), lms_charge0_gradient(x, pot))
             rhs = liouvillian_value(x, pot)
             assert abs(lhs - rhs) < 1e-12 * (1.0 + abs(rhs))
 
-    def test_gradient_prefers_analytic(self):
+    def test_liouvillian_gradient_closed_form(self):
         pot = MonomialPotential(1.0, 4.0)
-        f = liouvillian_field(pot)
         x = ExtendedPoint(1.1, -0.2, 0.5, 0.3)
-        v1, v2 = pot.derivs(x.q)
-        expected = np.array([-x.lp * v2, x.lq, x.p, -v1])
-        assert np.allclose(gradient(f, x), expected, atol=1e-14)
+        # (-lp V''(q), lq, p, -V'(q)) with V'(q) = q^3
+        expected = np.array([-0.3 * 3.0 * 1.1**2, 0.5, -0.2, -(1.1**3)])
+        assert np.allclose(liouvillian_gradient(x, pot), expected, atol=1e-14)
 
-    def test_strip_gradient_forces_fd(self):
+    def test_analytic_gradients_match_finite_differences(self):
         pot = MonomialPotential(1.0, 4.0)
-        f = liouvillian_field(pot)
-        bare = strip_gradient(f)
-        assert f.has_gradient and not bare.has_gradient
         x = ExtendedPoint(1.1, -0.2, 0.5, 0.3)
-        assert np.allclose(gradient(bare, x), gradient(f, x), atol=1e-6)
+        pairs = (
+            (liouvillian_gradient, liouvillian_value),
+            (lms_charge0_gradient, lms_charge0),
+        )
+        for grad, value in pairs:
+            fd = fd_gradient(lambda y: value(y, pot), x)
+            assert np.allclose(grad(x, pot), fd, atol=1e-6)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gradient_raises(self, bad):
+        finite = np.array([1.0, 0.5, -0.2, 0.3])
+        broken = finite.copy()
+        broken[1] = bad
+        with pytest.raises(NonFiniteGradient):
+            epb(broken, finite)
+        with pytest.raises(NonFiniteGradient):
+            epb(finite, broken)
 
 
 class TestVirasoro:

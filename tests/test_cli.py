@@ -4,12 +4,10 @@ import hashlib
 import json
 import re
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import kvnlab
 from kvnlab import cli
 from kvnlab.report import CLAIMS, digest
 from kvnlab.scenario import SCHEMA, SUITES, validate_scenario
@@ -17,23 +15,10 @@ from kvnlab.errors import ScenarioError
 from kvnlab.suites import SuiteContext
 
 
-def run_cli(args, tmp_path, env_extra=None):
-    import os
-
-    env = dict(os.environ)
-    # The child runs in tmp_path, where a relative PYTHONPATH finds nothing:
-    # put the absolute directory of the imported package first.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(kvnlab.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "kvnlab.cli", *args],
-        capture_output=True,
-        text=True,
-        cwd=tmp_path,
-        env=env,
-    )
+@pytest.fixture
+def run_cli(run_python):
+    """Run ``kvnlab`` on ``args`` in a child interpreter, in ``cwd``."""
+    return lambda args, cwd: run_python("-m", "kvnlab.cli", *args, cwd=cwd)
 
 
 def run_main(args, capsys):
@@ -53,7 +38,7 @@ BASIC = {"suite": "dynamics", "potential": {"g": 1.0, "n": 2.0}}
 
 
 class TestSchemaCommand:
-    def test_prints_the_schema(self, tmp_path):
+    def test_prints_the_schema(self, tmp_path, run_cli):
         proc = run_cli(["schema"], tmp_path)
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == SCHEMA
@@ -95,28 +80,28 @@ class TestScenarioValidation:
 
 
 class TestExitCodes:
-    def test_pass_is_zero(self, tmp_path):
+    def test_pass_is_zero(self, tmp_path, run_cli):
         sc = write_scenario(tmp_path, BASIC)
         proc = run_cli(["run", str(sc), "--out", "rep"], tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert "checks passed" in proc.stdout
 
-    def test_invalid_scenario_is_two(self, tmp_path):
+    def test_invalid_scenario_is_two(self, tmp_path, run_cli):
         sc = write_scenario(tmp_path, {"suite": "dynamics"})
         proc = run_cli(["run", str(sc)], tmp_path)
         assert proc.returncode == 2
 
-    def test_unreadable_file_is_two(self, tmp_path):
+    def test_unreadable_file_is_two(self, tmp_path, run_cli):
         proc = run_cli(["run", str(tmp_path / "missing.json")], tmp_path)
         assert proc.returncode == 2
 
-    def test_malformed_json_is_two(self, tmp_path):
+    def test_malformed_json_is_two(self, tmp_path, run_cli):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         proc = run_cli(["run", str(path)], tmp_path)
         assert proc.returncode == 2
 
-    def test_initial_conditions_is_two(self, tmp_path):
+    def test_initial_conditions_is_two(self, tmp_path, run_cli):
         sc = write_scenario(tmp_path, dict(BASIC, initial_conditions=[[1.0, 0.0, 0.3, -0.2]]))
         proc = run_cli(["run", str(sc)], tmp_path)
         assert proc.returncode == 2
@@ -139,7 +124,7 @@ class TestExitCodes:
         assert "scenario invalid" in proc.stderr
         assert not (tmp_path / "rep").exists()
 
-    def test_failing_check_is_one(self, tmp_path):
+    def test_failing_check_is_one(self, tmp_path, run_cli):
         body = dict(BASIC)
         body["tolerances"] = {"trajectory_match": 1e-30}
         body["suite"] = "newton-equiv"
@@ -197,7 +182,7 @@ def strip_wall_time(text):
 
 
 class TestDeterminism:
-    def test_reports_identical_modulo_wall_time(self, tmp_path):
+    def test_reports_identical_modulo_wall_time(self, tmp_path, run_cli):
         body = {"suite": "charges", "potential": {"g": 1.0, "n": 4.0}, "seed": 3}
         sc = write_scenario(tmp_path, body)
         for out in ("one", "two"):
@@ -235,7 +220,7 @@ class TestDeterminism:
                     for p in (tmp_path / "rep").glob("*.csv")}
         assert sidecars == self.README_SIDECARS
 
-    def test_csv_sidecars_identical(self, tmp_path):
+    def test_csv_sidecars_identical(self, tmp_path, run_cli):
         body = {"suite": "charges", "potential": {"g": 1.0, "n": 4.0}}
         sc = write_scenario(tmp_path, body)
         for out in ("one", "two"):

@@ -2,15 +2,11 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-import kvnlab
 from kvnlab.core import ExtendedPoint, MonomialPotential
 from kvnlab.dynamics import (
     BLOCK,
@@ -135,14 +131,10 @@ print(json.dumps(raised))
 """
 
 
-def test_non_finite_horizon_is_refused():
+def test_non_finite_horizon_is_refused(run_python):
     # the kernel once stepped forever toward a NaN or infinite horizon, so
     # the calls run in a child process that the timeout stops
-    src = os.path.dirname(os.path.dirname(os.path.abspath(kvnlab.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", NON_FINITE_HORIZON], capture_output=True,
-                          text=True, env=env, timeout=10)
+    proc = run_python("-c", NON_FINITE_HORIZON, timeout=10)
     assert proc.returncode == 0, proc.stderr
     raised = json.loads(proc.stdout.splitlines()[-1])
     assert len(raised) == 12

@@ -8,16 +8,11 @@ timed ``run_checks`` call.
 
 import importlib
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
 import kvnlab
 from kvnlab.scenario import SUITES
-
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(kvnlab.__file__)))
 
 #: Runs kvnlab with ``cli.run_checks`` wrapped and prints, as JSON, the exit
 #: code, the modules first imported inside the run and whether scipy and
@@ -62,15 +57,17 @@ print(json.dumps({"bare": bare, "exit": code, "schema": loaded()}))
 """
 
 
-def run_child(code, *args, cwd):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *args],
-        capture_output=True, text=True, cwd=cwd, env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+@pytest.fixture
+def run_child(run_python):
+    """Run ``code`` on ``args`` in a child interpreter; its last line of
+    output, read as JSON."""
+
+    def run(code, *args, cwd):
+        proc = run_python("-c", code, *args, cwd=cwd)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    return run
 
 
 class TestLazyPackage:
@@ -100,7 +97,7 @@ class TestLazyPackage:
             kvnlab.no_such_name  # noqa: B018
 
 
-def test_import_and_schema_load_no_science_library(tmp_path):
+def test_import_and_schema_load_no_science_library(tmp_path, run_child):
     got = run_child(SCHEMA, cwd=tmp_path)
     assert got["bare"] == []
     assert got["exit"] == 0
@@ -108,7 +105,7 @@ def test_import_and_schema_load_no_science_library(tmp_path):
 
 
 @pytest.mark.parametrize("suite", SUITES)
-def test_run_imports_nothing_inside_the_run(tmp_path, suite):
+def test_run_imports_nothing_inside_the_run(tmp_path, run_child, suite):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({"suite": "all", "potential": {"g": 1.0, "n": 4.0}}))
     got = run_child(GUARD, suite, str(scenario), str(tmp_path / "out"), cwd=tmp_path)
@@ -150,7 +147,7 @@ print(json.dumps({"exit": code, "called": sorted(set(called))}))
 """
 
 
-def test_opalg_run_calls_no_sympy(tmp_path):
+def test_opalg_run_calls_no_sympy(tmp_path, run_child):
     # every opalg check computes in the exact ring; sympy only reads and
     # prints values at the boundary, which no check crosses
     scenario = tmp_path / "scenario.json"
@@ -159,7 +156,7 @@ def test_opalg_run_calls_no_sympy(tmp_path):
     assert got == {"exit": 0, "called": []}
 
 
-def test_importing_opalg_builds_no_image(tmp_path):
+def test_importing_opalg_builds_no_image(tmp_path, run_child):
     # the memoised images fill on first use, so no workload's set-up pays
     # for them; a cold opalg run loading no scipy is checked above
     code = (

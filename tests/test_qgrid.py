@@ -2,10 +2,7 @@
 
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -13,7 +10,6 @@ import numpy as np
 import pytest
 import scipy.fft
 
-import kvnlab
 from kvnlab import cli, qgrid
 from kvnlab.core import MonomialPotential
 from kvnlab.dynamics import flow_map_batch
@@ -395,14 +391,8 @@ class TestSplitStepEvolution:
         with pytest.warns(AliasingWarning):
             evolve_G(state, QUARTIC, 5.0, steps=200)
 
-    def test_demo04_runs(self, tmp_path):
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(os.path.abspath(kvnlab.__file__)))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, str(REPO / "demos" / "04_grid_quantum_picture.py")],
-            capture_output=True, text=True, cwd=tmp_path, env=env,
-        )
+    def test_demo04_runs(self, tmp_path, run_python):
+        out = run_python(str(REPO / "demos" / "04_grid_quantum_picture.py"), cwd=tmp_path)
         assert out.returncode == 0, out.stderr
         evolved = re.search(r"after quartic evolution .* Schmidt ratio (\S+)", out.stdout)
         remapped = re.search(r"alpha=0\.5: Schmidt ratio (\S+)", out.stdout)
