@@ -393,7 +393,7 @@ def suite_lms_classical(ctx: SuiteContext):
             traj = ctx.trajectory(pot, x0, 1.3)
             q, p = traj.states[:, 0], traj.states[:, 1]
             lag = 0.5 * p**2 - pot.value(q)
-            qm, pm = prm.alpha * q, prm.alpha ** (n / 2.0) * p
+            qm, pm = lms_map_trajectory(traj, prm).states[:, :2].T
             lag_m = 0.5 * pm**2 - pot.value(qm)
             expected = prm.alpha**n * lag
             dev = float(np.max(np.abs(lag_m - expected)) / (1.0 + np.max(np.abs(expected))))
@@ -597,8 +597,7 @@ def suite_quantum_leak(ctx: SuiteContext):
             else:
                 spec = qgrid.schmidt(qgrid.apply_lms_unitary_harmonic(state, alpha))
             s = spec.values
-            rows.append((alpha, float(s[0]), float(s[1]) if len(s) > 1 else 0.0,
-                         spec.ratio))
+            rows.append((alpha, float(s[0]), float(s[1]), spec.ratio))
         ctx.emit_csv("schmidt_vs_alpha.csv", ("alpha", "s1", "s2", "ratio"), rows)
 
 
@@ -715,16 +714,16 @@ SUITE_FUNCS = {
 
 
 #: Suite -> the modules its checks call: kvnlab's, named relative to the
-#: package, and numpy.random where ``SuiteContext.rng`` draws samples. Each
-#: suite body imports the names it uses, so a run loads scipy or sympy only
-#: when its suite needs them.
+#: package, and the numpy submodules that numpy loads lazily (numpy.random for
+#: ``SuiteContext.rng``, numpy.fft for the grid). Each suite body imports the
+#: names it uses, so a run loads scipy or sympy only when its suite needs them.
 SUITE_MODULES = {
     "dynamics": (".dynamics",),
     "charges": (".charges", ".dynamics", "numpy.random"),
     "lms-classical": (".dynamics", ".symmetry"),
     "lms-virasoro": (".charges", ".dynamics", "numpy.random"),
     "opalg": (".opalg",),
-    "quantum-leak": (".qgrid",),
+    "quantum-leak": (".qgrid", "numpy.fft"),
     "bohr": (".semiclassics",),
     "newton-equiv": (".semiclassics",),
 }

@@ -9,9 +9,9 @@ from pathlib import Path
 import pytest
 
 from kvnlab import cli
-from kvnlab.report import CLAIMS, digest
+from kvnlab.report import CLAIMS, CheckRecord, digest
 from kvnlab.scenario import SCHEMA, SUITES, validate_scenario
-from kvnlab.errors import ScenarioError
+from kvnlab.errors import CheckFailure, ScenarioError
 from kvnlab.suites import SuiteContext
 
 
@@ -266,6 +266,10 @@ class TestSuiteList:
 
 
 class TestCheckExecutor:
+    def test_unregistered_anchor_is_refused(self):
+        with pytest.raises(CheckFailure, match="unregistered anchor 'no-such-claim'"):
+            CheckRecord("x-anchor", "no-such-claim", digest({}), {}, 1e-3, "pass")
+
     def test_raising_body_gives_error_record_and_next_check_runs(self, tmp_path):
         ctx = SuiteContext(scenario={}, out_dir=str(tmp_path), seed=0)
         inputs = {"potential": {"g": 1.0, "n": 4.0}, "steps": 3}

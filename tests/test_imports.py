@@ -111,9 +111,10 @@ def test_run_imports_nothing_inside_the_run(tmp_path, run_child, suite):
     got = run_child(GUARD, suite, str(scenario), str(tmp_path / "out"), cwd=tmp_path)
     assert got["exit"] == 0
     assert got["inside"] == []
-    # the classical integrator is numpy alone; scipy comes with quadrature,
-    # eigensolvers and the grid
-    assert got["scipy"] == (suite not in ("dynamics", "charges", "lms-virasoro", "opalg"))
+    # the classical integrator and the grid are numpy alone; scipy comes
+    # with quadrature and eigensolvers
+    assert got["scipy"] == (
+        suite not in ("dynamics", "charges", "lms-virasoro", "opalg", "quantum-leak"))
     assert got["sympy"] == (suite in ("opalg", "all"))
 
 

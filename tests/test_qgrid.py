@@ -29,7 +29,7 @@ from kvnlab.qgrid import (
     make_separable,
     schmidt,
 )
-from kvnlab.qgrid import _strang_propagator
+from kvnlab.qgrid import _interpolate, _strang_propagator
 
 HARMONIC = MonomialPotential(1.0, 2.0)
 QUARTIC = MonomialPotential(1.0, 4.0)
@@ -258,6 +258,33 @@ class TestLiouvilleTransport:
                 if 0 <= i2[b] < 6:
                     grid_prob[i1[a], i2[b]] += dens[a, b]
         assert np.max(np.abs(grid_prob - mc)) < 0.008
+
+    def test_zero_time_copies_the_amplitudes_exactly(self):
+        # a spline does not reproduce its own nodes bit for bit, so t = 0
+        # copies the amplitudes instead of sampling them
+        state = _qp_gaussian(count=64)
+        out = evolve_liouville(state, QUARTIC, 0.0)
+        assert np.array_equal(out.amps, state.amps)
+        assert not np.shares_memory(out.amps, state.amps)
+
+    def test_spline_matches_fitpack_in_the_bulk(self):
+        # FITPACK's interpolating spline through the same nodes ends with
+        # another boundary model; that difference decays geometrically into
+        # the grid, so eight cells in from either edge the two agree
+        from scipy.interpolate import RectBivariateSpline
+
+        ax = GridAxis(0.0, 6.0, 128)
+        state = GridState2D.from_function(
+            ax, ax, lambda q, p: np.exp(-(q - 0.4) ** 2 / 2.56 - (p + 0.3) ** 2 + 0.7j * q),
+            REP_QP, 1.0,
+        )
+        x = ax.points()
+        pts1, pts2 = np.random.default_rng(5).uniform(x[8], x[-9], (2, 4000))
+        want = sum(
+            unit * RectBivariateSpline(x, x, part, kx=3, ky=3)(pts1, pts2, grid=False)
+            for unit, part in ((1.0, state.amps.real), (1j, state.amps.imag))
+        )
+        assert np.max(np.abs(_interpolate(state, pts1, pts2) - want)) < 1e-10
 
     def test_requires_qp_rep(self):
         state = _qqbar_gaussian()
@@ -603,15 +630,12 @@ class _WarnCalls:
 
 
 def _resample(state, pts1, pts2):
-    from kvnlab.qgrid import _interpolate
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DomainExitWarning)
         vals = _interpolate(
             state,
             np.broadcast_to(pts1, (state.axis1.count, state.axis2.count)),
             np.broadcast_to(pts2, (state.axis1.count, state.axis2.count)),
-            "resample",
         )
     return vals
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.special import beta
 
+from kvnlab import semiclassics
 from kvnlab.core import ExtendedPoint, MonomialPotential, PhasePoint, lms_params_from_alpha
 from kvnlab.dynamics import characteristic_time
-from kvnlab.errors import NoBoundOrbit, SingularityAbort
+from kvnlab.errors import ConvergenceFailure, NoBoundOrbit, SingularityAbort
 from kvnlab.semiclassics import (
     action_integral,
     bohr_levels,
@@ -143,6 +144,12 @@ class TestActionIntegral:
         j = action_integral(pot, 1.0)
         jm = action_integral(pot, alpha**n * 1.0)
         assert jm / j == pytest.approx(alpha ** (1.0 + n / 2.0), rel=1e-9)
+
+    def test_loose_quadrature_is_a_convergence_failure(self, monkeypatch):
+        # an error estimate above 1e-8 of the value is refused
+        monkeypatch.setattr(semiclassics, "quad", lambda *args, **kwargs: (2.0, 1e-7))
+        with pytest.raises(ConvergenceFailure, match="action quadrature error 1e-07"):
+            action_integral(QUARTIC, 1.0)
 
 
 class TestBohrLevels:
