@@ -2,9 +2,10 @@
 classical phase space, its operator algebra, and its quantum obstructions.
 
 The public names are loaded from their submodules on first access (PEP
-562), so ``import kvnlab`` imports neither scipy nor sympy: ``opalg`` loads
-sympy, ``dynamics`` and ``charges`` need numpy alone, and the quadrature,
-spectral and grid modules load scipy.
+562), so ``import kvnlab`` imports neither scipy nor sympy. ``semiclassics``
+loads scipy for its quadrature and eigensolver; every other module needs
+numpy alone. ``opalg`` computes in an exact ring and imports sympy only when
+it is handed a sympy value, asked for one of its symbols, or asked to print.
 """
 
 import importlib

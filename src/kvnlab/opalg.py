@@ -10,8 +10,11 @@ A value is an int or a Fraction. The monomials alpha^j exp(k alpha) are
 linearly independent, so two normal forms are equal exactly when their
 dicts are. Every computation is in this ring; sympy only reads values in
 (the constructor and scale also take Rational or Expr, cosh and sinh
-rewritten through exp; observables C(q, p)) and out (coefficient(),
-str()). Floating point only proposes the eigenvalues of a finite adjoint,
+rewritten through exp; observables C(q, p); a non-integral float as a
+coupling or exponent) and out (coefficient(), str()), and it is imported
+on those routes alone. The symbols hbar, t_sym, alpha_sym, q_c and p_c are
+module attributes built on first access, so importing this module loads
+no sympy. Floating point only proposes the eigenvalues of a finite adjoint,
 which an exact test then accepts.
 Coefficients are accumulated in one way, _cmul(x, y, out), and every
 linear combination of operators (sum, difference, negation, scaling,
@@ -43,9 +46,9 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
-import sympy as sp
 
 from .core import MonomialPotential, _is_positive_integer
 from .errors import (
@@ -57,13 +60,28 @@ from .errors import (
     UndefinedError,
 )
 
-hbar = sp.Symbol("hbar", positive=True)
-t_sym = sp.Symbol("t", real=True)
-alpha_sym = sp.Symbol("alpha", real=True)
+if TYPE_CHECKING:
+    import sympy as sp
 
-# Commuting stand-ins for writing polynomial observables C(q, p).
-q_c = sp.Symbol("q_c", real=True)
-p_c = sp.Symbol("p_c", real=True)
+#: The sympy symbols of the boundary: the ring's hbar, t and alpha, in key
+#: order, then the commuting stand-ins for writing observables C(q, p).
+_SYMBOL_NAMES = ("hbar", "t_sym", "alpha_sym", "q_c", "p_c")
+
+
+@functools.cache
+def _symbols() -> tuple:
+    """The symbols named by _SYMBOL_NAMES, built once, on first use."""
+    import sympy as sp
+
+    return (sp.Symbol("hbar", positive=True), sp.Symbol("t", real=True),
+            sp.Symbol("alpha", real=True), sp.Symbol("q_c", real=True),
+            sp.Symbol("p_c", real=True))
+
+
+def __getattr__(name):
+    if name in _SYMBOL_NAMES:
+        return _symbols()[_SYMBOL_NAMES.index(name)]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +102,6 @@ BOPP = Algebra(("Q", "Qbar", "P", "Pbar"), (1, 1), (-1, 1))
 
 # -- coefficients: Laurent polynomials in (i, hbar, t, alpha, exp(alpha)) --
 
-_RING_SYMBOLS = (hbar, t_sym, alpha_sym)
 _UNIT = (0, 0, 0, 0, 0)
 _ONE = {_UNIT: 1}
 _MINUS_ONE = {_UNIT: -1}
@@ -103,6 +120,8 @@ def _exact(x):
     read as sp.nsimplify(x, rational=True) reads it: 0.1 is 1/10."""
     if isinstance(x, int) or (isinstance(x, float) and x.is_integer()):
         return int(x)
+    import sympy as sp
+
     return _rational(sp.nsimplify(x, rational=True))
 
 
@@ -123,6 +142,8 @@ def _coeff(value) -> dict:
     if isinstance(value, (int, Fraction)):
         value = int(value) if value.denominator == 1 else value
         return {_UNIT: value} if value else {}
+    import sympy as sp
+
     if isinstance(value, sp.Rational):
         return {_UNIT: _rational(value)} if value else {}
     expr = sp.sympify(value)
@@ -130,6 +151,7 @@ def _coeff(value) -> dict:
         raise TypeError(f"floating-point coefficient {value!r}; use an exact number")
     if expr.has(sp.cosh, sp.sinh):
         expr = expr.rewrite(sp.exp)
+    ring = _symbols()[:3]  # hbar, t, alpha: key slots 1 to 3
     out = {}
     for term in sp.Add.make_args(sp.expand(expr)):
         num, rest = term.as_coeff_Mul()
@@ -138,9 +160,9 @@ def _coeff(value) -> dict:
             base, e = factor.as_base_exp()
             if factor == sp.I:
                 key[0] = 1
-            elif base in _RING_SYMBOLS and e.is_Integer:
-                key[1 + _RING_SYMBOLS.index(base)] += int(e)
-            elif isinstance(factor, sp.exp) and (k := e / alpha_sym).is_Integer:
+            elif base in ring and e.is_Integer:
+                key[1 + ring.index(base)] += int(e)
+            elif isinstance(factor, sp.exp) and (k := e / ring[2]).is_Integer:
                 key[4] += int(k)
             elif factor != 1:
                 raise _not_laurent(value)
@@ -153,8 +175,11 @@ def _coeff(value) -> dict:
 
 def _expr(c: dict) -> sp.Expr:
     """The sympy expression of a coefficient dict, expanded."""
+    import sympy as sp
+
+    hbar, t, alpha = _symbols()[:3]
     return sp.expand(sp.Add(*(
-        sp.sympify(v) * sp.I**ei * hbar**eh * t_sym**et * alpha_sym**ea * sp.exp(ee * alpha_sym)
+        sp.sympify(v) * sp.I**ei * hbar**eh * t**et * alpha**ea * sp.exp(ee * alpha)
         for (ei, eh, et, ea, ee), v in c.items()
     )))
 
@@ -326,6 +351,8 @@ class OperatorPoly:
     def __str__(self):
         if not self.terms:
             return "0"
+        import sympy as sp
+
         names = self.algebra.names
         parts = []
         for key in sorted(self.terms, key=lambda k: (sum(k), k)):
@@ -450,9 +477,11 @@ def _sum_scaled(algebra: Algebra, pairs: list) -> OperatorPoly:
 @functools.lru_cache(maxsize=256)
 def _qp_terms(expr) -> tuple:
     """The terms (a, b, coeff dict) of C(q, p); callers never mutate them."""
+    import sympy as sp
+
     expr = sp.sympify(expr)
     try:
-        poly = sp.Poly(expr, q_c, p_c)
+        poly = sp.Poly(expr, *_symbols()[3:])
     except sp.PolynomialError as exc:
         raise NonPolynomialPotential(f"not polynomial in (q, p): {expr}") from exc
     return tuple((a, b, _coeff(c)) for (a, b), c in poly.terms())

@@ -90,25 +90,77 @@ SCHEMA = {
 }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: JSON type name -> test. An "integer" is a Python int: not a bool, and not
+#: an integral float such as 128.0, which the integrators and grids refuse.
+_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    "number": _is_number,
+    "integer": lambda value: isinstance(value, int) and not isinstance(value, bool),
+}
+
+
+def _errors(schema: dict, value):
+    """Yield a message for each way value breaks schema, keyword by keyword in
+    the schema's order, worded as jsonschema words them for the bounds SCHEMA
+    sets. Reads the 12 keywords SCHEMA uses; each one that constrains a JSON
+    type checks values of that type only, and annotations such as "title"
+    are skipped."""
+    for key, arg in schema.items():
+        if key == "type" and not _TYPES[arg](value):
+            yield f"{value!r} is not of type {arg!r}"
+        elif key == "enum" and not any(
+                value == v and isinstance(value, bool) == isinstance(v, bool) for v in arg):
+            yield f"{value!r} is not one of {arg!r}"
+        elif key == "not" and next(_errors(arg, value), None) is None:
+            yield f"{value!r} should not be valid under {arg!r}"
+        elif isinstance(value, dict):
+            if key == "properties":
+                for name, sub in arg.items():
+                    if name in value:
+                        yield from _errors(sub, value[name])
+            elif key == "required":
+                yield from (f"{name!r} is a required property" for name in arg if name not in value)
+            elif key == "additionalProperties" and arg is False:
+                extra = sorted(set(value) - set(schema.get("properties", {})), key=str)
+                if extra:
+                    yield (f"Additional properties are not allowed ({', '.join(map(repr, extra))} "
+                           f"{'was' if len(extra) == 1 else 'were'} unexpected)")
+            elif key == "maxProperties" and len(value) > arg:
+                yield f"{value!r} has too many properties"
+        elif isinstance(value, list) and key == "items":
+            for item in value:
+                yield from _errors(arg, item)
+        elif (key, type(value)) in (("minItems", list), ("minLength", str)) and len(value) < arg:
+            yield f"{value!r} should be non-empty"  # SCHEMA's bounds are 1
+        elif _is_number(value):
+            if key == "minimum" and value < arg:
+                yield f"{value!r} is less than the minimum of {arg!r}"
+            elif key == "exclusiveMinimum" and value <= arg:
+                yield f"{value!r} is less than or equal to the minimum of {arg!r}"
+
+
 def validate_scenario(obj) -> dict:
-    """Check a parsed scenario against the schema; ScenarioError on failure.
+    """Check a parsed scenario against SCHEMA; ScenarioError on failure, with
+    the first error found.
 
     The schema cannot say that a number is finite (json.load accepts NaN
     and Infinity) or that a grid count is a power of two, which the
     split-step grids need; both are checked here, before any check runs."""
-    import jsonschema  # only validation needs it, not `kvnlab schema`
-
-    try:
-        jsonschema.validate(obj, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ScenarioError(f"scenario invalid: {exc.message}") from exc
+    error = next(_errors(SCHEMA, obj), None)
+    if error is not None:
+        raise ScenarioError(f"scenario invalid: {error}")
     try:
         json.dumps(obj, allow_nan=False)
     except ValueError as exc:
         raise ScenarioError(f"scenario invalid: numbers must be finite ({exc})") from exc
     count = obj.get("grid", {}).get("count", DEFAULT_GRID["count"])
-    # the schema's "integer" also admits 128.0, which qgrid.GridAxis rejects
-    if not (isinstance(count, int) and count & (count - 1) == 0):
+    if count & (count - 1):
         raise ScenarioError(f"scenario invalid: grid count {count!r} is not a power of two")
     return obj
 

@@ -716,7 +716,8 @@ SUITE_FUNCS = {
 #: Suite -> the modules its checks call: kvnlab's, named relative to the
 #: package, and the numpy submodules that numpy loads lazily (numpy.random for
 #: ``SuiteContext.rng``, numpy.fft for the grid). Each suite body imports the
-#: names it uses, so a run loads scipy or sympy only when its suite needs them.
+#: names it uses, so scipy loads only with ``.semiclassics`` (bohr and
+#: newton-equiv), and no suite loads sympy: ``.opalg`` imports it on demand.
 SUITE_MODULES = {
     "dynamics": (".dynamics",),
     "charges": (".charges", ".dynamics", "numpy.random"),

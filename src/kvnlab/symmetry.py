@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .core import ExtendedPoint, LmsParams, MonomialPotential
 from .dynamics import ExtendedTrajectory
@@ -99,12 +98,36 @@ def _check_sampling(traj: ExtendedTrajectory):
         )
 
 
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson's rule for samples y at increasing x, at least three
+    of them, with the arithmetic of scipy.integrate.simpson(y, x=x).
+
+    Each pair of intervals (h0, h1) gets the three-point rule for uneven
+    spacing. With an even sample count the pairs stop one interval short,
+    and the last interval gets Cartwright's correction (Math. Gazette 101
+    (2017) 255), fitted on the last three samples."""
+    m = len(y) - 1 + len(y) % 2  # the pairs cover samples 0 to m - 1
+    h = np.diff(x)
+    h0, h1 = h[0:m - 2:2], h[1:m - 1:2]
+    hsum = h0 + h1
+    h0divh1 = h0 / h1
+    total = np.sum(hsum / 6.0 * (y[0:m - 2:2] * (2.0 - 1.0 / h0divh1)
+                                 + y[1:m - 1:2] * (hsum * (hsum / (h0 * h1)))
+                                 + y[2:m:2] * (2.0 - h0divh1)))
+    if m < len(y):
+        a, b = np.asarray(h[-2]), np.asarray(h[-1])  # 0-d: b**3 takes the array power
+        total += ((2 * b**2 + 3 * a * b) / (6 * (b + a)) * y[-1]
+                  + (b**2 + 3.0 * a * b) / (6 * a) * y[-2]
+                  - b**3 / (6 * a * (a + b)) * y[-3])
+    return float(total)
+
+
 def action_standard(traj: ExtendedTrajectory, pot: MonomialPotential) -> float:
     """Standard action integral of p^2/2 - V(q) over the stored samples."""
     _check_sampling(traj)
     q = traj.states[:, 0]
     p = traj.states[:, 1]
-    return float(simpson(0.5 * p**2 - pot.value(q), x=traj.times))
+    return _simpson(0.5 * p**2 - pot.value(q), traj.times)
 
 
 def action_kvn(traj: ExtendedTrajectory, pot: MonomialPotential) -> float:
@@ -118,7 +141,7 @@ def action_kvn(traj: ExtendedTrajectory, pot: MonomialPotential) -> float:
     p = traj.states[:, 1]
     lq = traj.states[:, 2]
     lp = traj.states[:, 3]
-    return float(simpson(lq * p + lp * pot.derivs(q)[0], x=traj.times))
+    return _simpson(lq * p + lp * pot.derivs(q)[0], traj.times)
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,80 @@ class TestScenarioValidation:
             validate_scenario(bad)
 
 
+#: Scenarios the tests, demos and benchmark run, and one with every section.
+ACCEPTED = [
+    BASIC,
+    {"suite": "all", "potential": {"g": 1.0, "n": 4.0}, "seed": 17},
+    {"suite": "quantum-leak", "potential": {"g": 1.0, "n": 4.0}, "grid": {"count": 256}},
+    *({"suite": suite, "potential": {"g": -1.0, "n": -2.0}} for suite in SUITES),
+    {"suite": "all", "potential": {"g": 2.5, "n": 3}, "exponents": [1, -2.5, 6.0],
+     "lms": {"beta": -0.3}, "grid": {"count": 64, "extent": 6.0, "hbar": 1},
+     "tolerances": {name: 1e-3 for name in SCHEMA["properties"]["tolerances"]["properties"]},
+     "seed": 0, "out_dir": "rep"},
+]
+
+#: One fault per scenario, each found by a different keyword of SCHEMA.
+SINGLE_FAULTS = {
+    "type": [["not", "an", "object"], dict(BASIC, potential={"g": "1", "n": 2.0}),
+             dict(BASIC, seed=True), dict(BASIC, potential={"g": False, "n": 2.0})],
+    "properties": [dict(BASIC, grid={"extent": [8.0]})],
+    "required": [{"suite": "dynamics"}, dict(BASIC, potential={"g": 1.0})],
+    "additionalProperties": [dict(BASIC, extra=1), dict(BASIC, lms={"gamma": 2.0})],
+    "enum": [dict(BASIC, suite="nope"), dict(BASIC, suite=True)],
+    "not": [dict(BASIC, potential={"g": 0.0, "n": 2.0}), dict(BASIC, exponents=[2, 0])],
+    "items": [dict(BASIC, exponents=[1.0, "2"])],
+    "minItems": [dict(BASIC, exponents=[])],
+    "maxProperties": [dict(BASIC, lms={"alpha": 1.3, "beta": 5.0})],
+    "minimum": [dict(BASIC, seed=-3), dict(BASIC, grid={"count": 1})],
+    "exclusiveMinimum": [dict(BASIC, lms={"alpha": -1.0}),
+                         dict(BASIC, tolerances={"charge_drift": 0})],
+    "minLength": [dict(BASIC, out_dir="")],
+}
+
+
+class TestSchemaWalker:
+    """The validator against jsonschema, which the tests use as an oracle."""
+
+    def test_schema_uses_the_walked_keywords_only(self):
+        def keywords(schema):
+            for key, arg in schema.items():
+                yield key
+                if key in ("items", "not"):
+                    yield from keywords(arg)
+                elif key == "properties":
+                    for sub in arg.values():
+                        yield from keywords(sub)
+
+        assert set(keywords(SCHEMA)) - {"$schema", "title"} == set(SINGLE_FAULTS)
+
+    @pytest.mark.parametrize("body", ACCEPTED)
+    def test_accepts_what_jsonschema_accepts(self, body):
+        jsonschema = pytest.importorskip("jsonschema")
+        jsonschema.validate(body, SCHEMA)
+        assert validate_scenario(body) is body
+
+    @pytest.mark.parametrize("keyword", sorted(SINGLE_FAULTS))
+    def test_message_is_jsonschemas(self, keyword):
+        jsonschema = pytest.importorskip("jsonschema")
+        for body in SINGLE_FAULTS[keyword]:
+            errors = list(jsonschema.Draft7Validator(SCHEMA).iter_errors(body))
+            assert len(errors) == 1
+            assert keyword in errors[0].schema_path
+            with pytest.raises(ScenarioError) as info:
+                validate_scenario(body)
+            assert str(info.value) == "scenario invalid: " + jsonschema.exceptions.best_match(
+                errors).message
+
+    @pytest.mark.parametrize("body", [dict(BASIC, seed=3.0), dict(BASIC, grid={"count": 128.0})])
+    def test_integral_float_is_not_an_integer(self, body):
+        # the one documented difference: jsonschema's "integer" admits 3.0,
+        # which the seeded samplers and the grids refuse
+        jsonschema = pytest.importorskip("jsonschema")
+        jsonschema.validate(body, SCHEMA)
+        with pytest.raises(ScenarioError, match=r"\.0 is not of type 'integer'"):
+            validate_scenario(body)
+
+
 class TestExitCodes:
     def test_pass_is_zero(self, tmp_path, run_cli):
         sc = write_scenario(tmp_path, BASIC)
@@ -115,8 +189,11 @@ class TestExitCodes:
         (dict(BASIC, grid={"hbar": float("nan")}), []),
         (dict(BASIC, lms={"alpha": float("inf")}), []),
         (dict(BASIC, tolerances={"charge_drift": float("nan")}), []),
+        (dict(BASIC, suite="charges", potential={"g": 1.0, "n": 4.0}, seed=3.0), []),
+        (dict(BASIC, suite="quantum-leak", grid={"count": 128.0}), []),
     ], ids=["grid-count-not-power-of-two", "alpha-with-beta", "negative-seed-override",
-            "nan-coupling", "nan-hbar", "infinite-alpha", "nan-tolerance"])
+            "nan-coupling", "nan-hbar", "infinite-alpha", "nan-tolerance", "float-seed",
+            "float-grid-count"])
     def test_rejected_before_any_check_is_two(self, tmp_path, capsys, body, extra):
         sc = write_scenario(tmp_path, body)
         proc = run_main(["run", str(sc), "--out", str(tmp_path / "rep"), *extra], capsys)

@@ -15,8 +15,8 @@ import kvnlab
 from kvnlab.scenario import SUITES
 
 #: Runs kvnlab with ``cli.run_checks`` wrapped and prints, as JSON, the exit
-#: code, the modules first imported inside the run and whether scipy and
-#: sympy were loaded.
+#: code, the modules first imported inside the run and whether scipy, sympy
+#: and jsonschema were loaded.
 GUARD = """
 import io, json, sys
 from contextlib import redirect_stdout
@@ -36,7 +36,7 @@ cli.run_checks = guarded
 with redirect_stdout(io.StringIO()):
     code = cli.main(["run", scenario, "--suite", suite, "--out", out])
 print(json.dumps({"exit": code, "inside": inside,
-                  "scipy": "scipy" in sys.modules, "sympy": "sympy" in sys.modules}))
+                  **{name: name in sys.modules for name in ("scipy", "sympy", "jsonschema")}}))
 """
 
 #: Reports which libraries a bare ``import kvnlab`` loads, then which ones
@@ -111,11 +111,12 @@ def test_run_imports_nothing_inside_the_run(tmp_path, run_child, suite):
     got = run_child(GUARD, suite, str(scenario), str(tmp_path / "out"), cwd=tmp_path)
     assert got["exit"] == 0
     assert got["inside"] == []
-    # the classical integrator and the grid are numpy alone; scipy comes
-    # with quadrature and eigensolvers
-    assert got["scipy"] == (
-        suite not in ("dynamics", "charges", "lms-virasoro", "opalg", "quantum-leak"))
-    assert got["sympy"] == (suite in ("opalg", "all"))
+    # scipy comes with the semiclassical quadrature and eigensolver alone;
+    # the checks compute in opalg's exact ring, and the scenario is read by
+    # kvnlab's own schema walker
+    assert got["scipy"] == (suite in ("bohr", "newton-equiv", "all"))
+    assert got["sympy"] is False
+    assert got["jsonschema"] is False
 
 
 #: Runs the opalg suite with a profile hook on ``cli.run_checks`` and prints
@@ -167,3 +168,36 @@ def test_importing_opalg_builds_no_image(tmp_path, run_child):
     )
     got = run_child(code, cwd=tmp_path)
     assert got == {"_generator_images": 0, "_monomial_image": 0, "_qp_terms": 0}
+
+
+#: Imports opalg, then its boundary symbols, and prints whether sympy was
+#: loaded after each, with what the printers and an observable give.
+BOUNDARY = """
+import json, sys
+import kvnlab.opalg as o
+bare = "sympy" in sys.modules
+from kvnlab.opalg import q_c, p_c, hbar
+x = o.build_C_hbar(q_c**3 * p_c**2 / 3 - 2 * q_c * p_c)
+a2 = o.lms_quantum_generator(o.MonomialPotential(1.0, 2.0))
+fin = o.adjoint_finite_quadratic(a2, o.bopp_operators()[0])
+scaled = o.q_op().scale(3 * o.t_sym / hbar) + o.lq_op().scale(o.alpha_sym / 2)
+print(json.dumps({"bare": bare, "symbols": "sympy" in sys.modules, "same": o.hbar is hbar,
+                  "str": str(x), "coefficient": str(x.coefficient((0, 2, 0, 3))),
+                  "fin": str(fin), "fin_lp": str(fin.coefficient((0, 0, 0, 1))),
+                  "scaled": str(scaled)}))
+"""
+
+
+def test_opalg_loads_sympy_at_its_boundary_only(tmp_path, run_child):
+    got = run_child(BOUNDARY, cwd=tmp_path)
+    assert got["bare"] is False
+    assert got["symbols"] is True
+    assert got["same"] is True
+    # the strings the eager module printed
+    assert got["str"] == (
+        "2*p*lp - 2*q*lq - hbar**4/48*lq**2*lp**3 - hbar**2/12*p**2*lp**3"
+        " + hbar**2/2*q*p*lq*lp**2 - hbar**2/4*q**2*lq**2*lp - q**2*p**2*lp + 2/3*q**3*p*lq")
+    assert got["coefficient"] == "-hbar**2/12"
+    assert got["fin"] == "(-hbar*exp(-alpha)/2)*lp + exp(alpha)*q"
+    assert got["fin_lp"] == "-hbar*exp(-alpha)/2"
+    assert got["scaled"] == "alpha/2*lq + 3*t/hbar*q"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from scipy.integrate import simpson
 
 from kvnlab.core import (
     ExtendedPoint,
@@ -29,6 +30,7 @@ from kvnlab.symmetry import (
     lms_map_point,
     lms_map_trajectory,
 )
+from kvnlab.symmetry import _simpson
 
 QUARTIC = MonomialPotential(1.0, 4.0)
 
@@ -132,6 +134,40 @@ class TestInfinitesimal:
         prm = lms_params_from_beta(0.01, 2.0)
         with pytest.raises(HarmonicCaseError):
             infinitesimal_lms(ExtendedPoint(1.0, 0.0, 0.0, 0.0), prm)
+
+
+class TestSimpson:
+    @pytest.mark.parametrize("count", [3, 4, 5, 14, 101, 102, 1257, 1258])
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "nonuniform"])
+    def test_matches_scipy_bit_for_bit(self, count, uniform):
+        # the same arithmetic in the same order, so no tolerance: an odd
+        # count is the three-point rule alone, an even one adds Cartwright's
+        # correction on the last interval. A scalar b**3 in that correction
+        # differs from scipy's array power in the last bit for some spacings;
+        # at 14 uniform samples on [0, 3] it moves a few of these sums.
+        rng = np.random.default_rng(count)
+        for _ in range(100):
+            x = (np.linspace(0.0, 3.0, count) if uniform
+                 else np.cumsum(rng.uniform(0.01, 1.0, count)))
+            y = rng.normal(size=count)
+            assert _simpson(y, x) == float(simpson(y, x=x))
+
+    def test_trajectory_actions_match_scipy(self):
+        # the even count of the closed-orbit test below and an odd count
+        for dt in (0.005, 2.0 * math.pi / 1256):
+            traj = integrate(ExtendedPoint(1.0, 0.0, 0.3, -0.2), QUARTIC, 2.0 * math.pi, dt)
+            q, p = traj.states[:, 0], traj.states[:, 1]
+            y = 0.5 * p**2 - QUARTIC.value(q)
+            assert action_standard(traj, QUARTIC) == float(simpson(y, x=traj.times))
+
+    def test_exact_on_quadratics(self):
+        # the three-point fits are parabolas, so uneven spacing loses nothing
+        x = np.cumsum(np.random.default_rng(1).uniform(0.1, 0.5, 12))
+        for count in (11, 12):
+            xs = x[:count]
+            got = _simpson(3.0 * xs**2 - 2.0 * xs, xs)
+            exact = (xs[-1]**3 - xs[0]**3) - (xs[-1]**2 - xs[0]**2)
+            assert got == pytest.approx(exact, rel=1e-13)
 
 
 class TestActions:
