@@ -11,6 +11,7 @@ from kvnlab import (
     lms_bohr_violation,
     lms_params_from_alpha,
     newton_equiv_trajectory_check,
+    reduced_action,
 )
 
 harmonic = MonomialPotential(1.0, 2.0)
@@ -27,10 +28,13 @@ print(f"quartic orbit at E=1: action shift {rep.delta_j:.6f} "
       f"(closed form {rep.delta_j_closed_form:.6f}), "
       f"{rep.level_mismatch:.4f} quanta off the grid")
 
-rep_inv = lms_bohr_violation(MonomialPotential(1.0, -2.0), 1.0,
-                             lms_params_from_alpha(1.3, -2.0))
-print(f"inverse-square exponent: shift {rep_inv.delta_j}, "
-      f"exact invariance {rep_inv.exact_invariance}")
+# at n = -2 no orbit closes; the reduced action between endpoints that
+# the map carries along (q -> 1.3 q, E -> 1.3^-2 E) does not move
+inverse = MonomialPotential(1.0, -2.0)
+w = reduced_action(inverse, 1.0, 0.5, 2.0)
+w_mapped = reduced_action(inverse, 1.3**-2.0, 1.3 * 0.5, 1.3 * 2.0)
+print(f"inverse-square exponent: reduced action on [0.5, 2] {w:.10f}, "
+      f"on the mapped interval {w_mapped:.10f}")
 
 # classically gamma drops out of Newton's equations entirely
 print("\nsame orbit for every mass rescaling gamma:")

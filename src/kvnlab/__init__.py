@@ -2,10 +2,11 @@
 classical phase space, its operator algebra, and its quantum obstructions.
 
 The public names are loaded from their submodules on first access (PEP
-562), so ``import kvnlab`` imports neither scipy nor sympy. ``semiclassics``
-loads scipy for its quadrature and eigensolver; every other module needs
-numpy alone. ``opalg`` computes in an exact ring and imports sympy only when
-it is handed a sympy value, asked for one of its symbols, or asked to print.
+562), so ``import kvnlab`` imports no numpy, scipy or sympy. No module
+imports scipy, which only the tests use, as an oracle. ``opalg`` computes in
+an exact ring and imports sympy only when it is handed a sympy value, asked
+for one of its symbols, or asked to print; every other module needs numpy
+alone.
 """
 
 import importlib
@@ -56,6 +57,7 @@ _SOURCE = {
     "newton_equiv_trajectory_check": "semiclassics",
     "opalg": "opalg",
     "qgrid": "qgrid",
+    "reduced_action": "semiclassics",
     "turning_points": "semiclassics",
     "virasoro_charge": "charges",
 }

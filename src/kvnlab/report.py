@@ -49,7 +49,7 @@ CLAIMS = {
     "similarity-breaks-products": "the finite rescaling unitary entangles the two factors",
     "half-integer-levels": "quantized actions sit at half-integer multiples of the quantum",
     "action-shift": "the rescaling shifts the orbit action by the closed-form amount",
-    "inverse-square-exception": "at n = -2 the orbit action is exactly invariant",
+    "inverse-square-exception": "at n = -2 the reduced action between mapped endpoints is invariant",
     "same-orbits": "the rescaled-mass system traces identical position histories",
     "spectra-rescale": "spectra of the rescaled-mass family follow the predicted power law",
     "harmonic-spectrum-gamma-free": "the harmonic spectrum ignores the mass rescaling while the states do not",

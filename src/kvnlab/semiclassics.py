@@ -5,22 +5,22 @@ points obeys J(alpha^n E) = alpha^(1+n/2) J(E) under the similarity
 rescale, so quantized levels J = (k + 1/2) 2 pi hbar are not mapped to
 levels unless 1 + n/2 = 0. The same law places the turning points and
 inverts the quantization rule in closed form; J(E) itself is left to the
-quadrature that the checks measure. Separately, the rescaled Lagrangian
-gamma*L yields H_gamma = p_gamma^2 / (2 gamma) + gamma V (mass 1 scaled
-by gamma) with identical q(t) but gamma-dependent spectra (except the
-harmonic case, whose frequency is gamma-free while its eigenfunction
-widths are not); one finite-difference solve gives each spectrum.
+periodic trapezoid rule that the checks measure. At n = -2 there is no
+closed orbit, and the law is measured on the reduced action between two
+fixed endpoints instead. Separately, the rescaled Lagrangian gamma*L
+yields H_gamma = p_gamma^2 / (2 gamma) + gamma V (mass 1 scaled by gamma)
+with identical q(t) but gamma-dependent spectra (except the harmonic
+case, whose frequency is gamma-free while its eigenfunction widths are
+not); one diagonalisation in a harmonic-oscillator basis gives each
+spectrum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import eigh_tridiagonal
 
 from .core import LmsParams, MonomialPotential, PhasePoint
 from .dynamics import sampled_flow
@@ -28,8 +28,12 @@ from .errors import ConvergenceFailure, NoBoundOrbit, RangeExhausted
 
 #: Sample spacing of the side-by-side Newton-equivalent trajectories.
 NEWTON_EQUIV_DT = 0.01
-#: Interior grid points of the finite-difference eigensolver.
-EIGEN_COUNT = 2048
+#: Equispaced angles of the loop action's periodic trapezoid rule.
+ACTION_NODES = 128
+#: Gauss-Legendre nodes of the reduced action.
+REDUCED_NODES = 32
+#: Harmonic-oscillator states of the Newton-equivalent eigensolver.
+BASIS_STATES = 128
 
 
 def _bound_orbit_exponent(pot: MonomialPotential) -> int:
@@ -58,22 +62,35 @@ def turning_points(pot: MonomialPotential, E: float) -> tuple[float, float]:
 def action_integral(pot: MonomialPotential, E: float) -> float:
     """Loop action J(E) = 2 * integral_{q-}^{q+} sqrt(2(E - V)) dq.
 
-    The substitution q = q+ sin(theta) absorbs the square-root endpoint
-    behaviour, leaving a smooth integrand for adaptive quadrature."""
+    With q = q+ sin(theta) over the whole circle, the integrand
+    q+ sqrt(2(E - V)) |cos theta| is smooth and periodic for an even n (E - V
+    is cos^2 theta times a positive polynomial in sin^2 theta): its mean over
+    ACTION_NODES angles converges geometrically (Trefethen and Weideman, SIAM
+    Rev. 56 (2014) 385), and the rule on every other angle estimates the error."""
     _, qp = turning_points(pot, E)
-
-    def integrand(theta):
-        q = qp * math.sin(theta)
-        gap = E - pot.value(q)
-        if gap < 0.0:
-            gap = 0.0
-        return math.sqrt(2.0 * gap) * qp * math.cos(theta)
-
-    val, err = quad(integrand, -0.5 * math.pi, 0.5 * math.pi, epsabs=0.0,
-                    epsrel=1e-11, limit=200)
+    theta = np.arange(ACTION_NODES) * (2.0 * math.pi / ACTION_NODES)
+    gap = np.maximum(E - pot.value(qp * np.sin(theta)), 0.0)
+    f = np.sqrt(2.0 * gap) * np.abs(np.cos(theta))
+    val = 2.0 * math.pi * qp * float(np.mean(f))
+    err = abs(val - 2.0 * math.pi * qp * float(np.mean(f[::2])))
     if not math.isfinite(val) or (val > 0 and err / val > 1e-8):
         raise ConvergenceFailure(f"action quadrature error {err!r} on value {val!r}")
-    return 2.0 * val
+    return val
+
+
+def reduced_action(pot: MonomialPotential, E: float, q1: float, q2: float) -> float:
+    """Reduced action W(E; q1, q2) = integral_{q1}^{q2} sqrt(2(E - V)) dq.
+
+    Gauss-Legendre on REDUCED_NODES nodes placed affinely on [q1, q2], so
+    the nodes of (alpha q1, alpha q2) are alpha times those of (q1, q2) and
+    W(alpha^n E; alpha q1, alpha q2) = alpha^(1+n/2) W(E; q1, q2) holds
+    sample by sample, up to roundoff. The interval must lie where E >= V."""
+    x, w = np.polynomial.legendre.leggauss(REDUCED_NODES)
+    half = 0.5 * (q2 - q1)
+    gap = E - pot.value(0.5 * (q1 + q2) + half * x)
+    if not np.all(gap >= 0.0):
+        raise ValueError(f"V exceeds E={E!r} on [{q1!r}, {q2!r}]")
+    return half * float(np.dot(w, np.sqrt(2.0 * gap)))
 
 
 def bohr_levels(pot: MonomialPotential, hbar: float, count: int) -> np.ndarray:
@@ -99,28 +116,17 @@ class BohrViolationReport:
 
     delta_j compares quadrature at the mapped energy alpha^n E against
     the original; the closed form is (alpha^(1+n/2) - 1) J. The mismatch
-    counts how many level spacings 2 pi hbar the orbit moved by. n = -2
-    is the analytic branch: the exponent 1 + n/2 vanishes identically,
-    so the action is invariant without any quadrature."""
+    counts how many level spacings 2 pi hbar the orbit moved by."""
 
-    j_value: Optional[float]
+    j_value: float
     delta_j: float
     delta_j_closed_form: float
     level_mismatch: float
-    exact_invariance: bool
 
 
 def lms_bohr_violation(
     pot: MonomialPotential, E: float, prm: LmsParams, hbar: float = 1.0
 ) -> BohrViolationReport:
-    if pot.n == -2.0:
-        return BohrViolationReport(
-            j_value=None,
-            delta_j=0.0,
-            delta_j_closed_form=0.0,
-            level_mismatch=0.0,
-            exact_invariance=True,
-        )
     j = action_integral(pot, E)
     j_mapped = action_integral(pot, prm.alpha**pot.n * E)
     delta = j_mapped - j
@@ -130,7 +136,6 @@ def lms_bohr_violation(
         delta_j=delta,
         delta_j_closed_form=closed,
         level_mismatch=delta / (2.0 * math.pi * hbar),
-        exact_invariance=False,
     )
 
 
@@ -187,16 +192,18 @@ def eigensolve_newton_equiv(
 ) -> np.ndarray:
     """The k lowest eigenvalues of -hbar^2/(2 gamma) d^2 + gamma V, ascending.
 
-    Finite differences on EIGEN_COUNT interior points of a Dirichlet box
-    of 8 ground widths, second-order three-point stencil."""
+    In the BASIS_STATES oscillator states of the ground width l (x = l xi),
+    xi and d/dxi are (a +- a^+)/sqrt(2) on ladder matrices n + 2 states
+    longer, so every kept entry of xi^n and d^2/dxi^2 is exact. Only the
+    low levels converge: k above BASIS_STATES // 8 is refused."""
     if not (0.0 < gamma < math.inf and 0.0 < hbar < math.inf):
         raise ValueError(f"gamma and hbar must be finite and positive, got {gamma!r}, {hbar!r}")
-    if k < 1:
-        raise ValueError("need k >= 1 levels")
-    box = 8.0 * ground_width(pot, gamma, hbar)
-    h = 2.0 * box / (EIGEN_COUNT + 1)
-    x = -box + h * np.arange(1, EIGEN_COUNT + 1)
-    kin = hbar**2 / (2.0 * gamma * h**2)
-    diag = 2.0 * kin + gamma * pot.value(x)
-    off = np.full(EIGEN_COUNT - 1, -kin)
-    return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1))[0]
+    if not 1 <= k <= BASIS_STATES // 8:
+        raise ValueError(f"the basis resolves 1 to {BASIS_STATES // 8} levels, not k={k!r}")
+    n = _bound_orbit_exponent(pot)
+    width = ground_width(pot, gamma, hbar)
+    a = np.diag(np.sqrt(np.arange(1.0, BASIS_STATES + n + 2)), 1)
+    xi, d = (a + a.T) / math.sqrt(2.0), (a - a.T) / math.sqrt(2.0)
+    h = (gamma * pot.value(width) * np.linalg.matrix_power(xi, n)
+         - hbar**2 / (2.0 * gamma * width**2) * (d @ d))
+    return np.linalg.eigvalsh(h[:BASIS_STATES, :BASIS_STATES])[:k]

@@ -605,7 +605,7 @@ def suite_quantum_leak(ctx: SuiteContext):
 # quantized actions
 
 def suite_bohr(ctx: SuiteContext):
-    from .semiclassics import bohr_levels, lms_bohr_violation
+    from .semiclassics import bohr_levels, lms_bohr_violation, reduced_action
 
     hbar = ctx.scenario["grid"]["hbar"]
 
@@ -637,15 +637,23 @@ def suite_bohr(ctx: SuiteContext):
                             "level_mismatch": rep.level_mismatch, "relative_gap": rel}
             out.passed = rel < out.tolerance
 
+    # no orbit closes at n = -2, so the law is measured on the reduced
+    # action between fixed endpoints, which the map carries to alpha q
     prm = ctx.lms_for(-2.0)
+    energy, q1, q2 = 1.0, 0.5, 2.0
     with ctx.check(
         "bohr-inverse-square", "inverse-square-exception",
-        {"potential": {"g": 1.0, "n": -2.0}, "alpha": prm.alpha}, 0.0,
+        {"potential": {"g": 1.0, "n": -2.0}, "alpha": prm.alpha, "energy": energy,
+         "interval": [q1, q2]},
+        1e-12,
     ) as out:
-        rep = lms_bohr_violation(MonomialPotential(1.0, -2.0), 1.0, prm, hbar=hbar)
-        exact_power = prm.alpha ** (1.0 + (-2.0) / 2.0)
-        out.measured = {"exact_invariance": rep.exact_invariance, "alpha_power": exact_power}
-        out.passed = rep.exact_invariance and exact_power == 1.0
+        pot = MonomialPotential(1.0, -2.0)
+        w = reduced_action(pot, energy, q1, q2)
+        w_mapped = reduced_action(pot, prm.alpha**-2.0 * energy, prm.alpha * q1, prm.alpha * q2)
+        rel = abs(w_mapped - w) / w
+        out.measured = {"reduced_action": w, "mapped_reduced_action": w_mapped,
+                        "relative_gap": rel}
+        out.passed = rel < out.tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -715,9 +723,9 @@ SUITE_FUNCS = {
 
 #: Suite -> the modules its checks call: kvnlab's, named relative to the
 #: package, and the numpy submodules that numpy loads lazily (numpy.random for
-#: ``SuiteContext.rng``, numpy.fft for the grid). Each suite body imports the
-#: names it uses, so scipy loads only with ``.semiclassics`` (bohr and
-#: newton-equiv), and no suite loads sympy: ``.opalg`` imports it on demand.
+#: ``SuiteContext.rng``, numpy.fft for the grid, numpy.polynomial for the
+#: reduced action's Gauss-Legendre nodes). Each suite body imports the names
+#: it uses. No suite loads scipy or sympy: ``.opalg`` imports sympy on demand.
 SUITE_MODULES = {
     "dynamics": (".dynamics",),
     "charges": (".charges", ".dynamics", "numpy.random"),
@@ -725,7 +733,7 @@ SUITE_MODULES = {
     "lms-virasoro": (".charges", ".dynamics", "numpy.random"),
     "opalg": (".opalg",),
     "quantum-leak": (".qgrid", "numpy.fft"),
-    "bohr": (".semiclassics",),
+    "bohr": (".semiclassics", "numpy.polynomial"),
     "newton-equiv": (".semiclassics",),
 }
 

@@ -66,6 +66,7 @@ from kvnlab.semiclassics import (
     eigensolve_newton_equiv,
     lms_bohr_violation,
     newton_equiv_trajectory_check,
+    reduced_action,
 )
 from kvnlab.symmetry import (
     action_kvn,
@@ -347,14 +348,17 @@ def test_action_shift_matches_closed_form(n):
     gap = abs(rep.delta_j - rep.delta_j_closed_form)
     assert gap < 1e-6 * (1.0 + abs(rep.delta_j_closed_form))
     assert rep.delta_j > 0.0
-    assert not rep.exact_invariance
 
 
 def test_action_shift_vanishes_only_for_inverse_square():
-    prm = lms_params_from_alpha(ALPHA, -2.0)
-    rep = lms_bohr_violation(MonomialPotential(1.0, -2.0), 1.0, prm)
-    assert rep.exact_invariance
-    assert rep.delta_j == 0.0
+    # the reduced action between endpoints that the map carries along
+    shifts = {}
+    for n in (-2.0, -1.0, 4.0):
+        pot = MonomialPotential(1.0, n)
+        w = reduced_action(pot, 1.0, 0.5, 1.0)
+        shifts[n] = abs(reduced_action(pot, ALPHA**n, ALPHA * 0.5, ALPHA) / w - 1.0)
+    assert shifts[-2.0] < 1e-14
+    assert shifts[-1.0] > 0.1 and shifts[4.0] > 0.1
 
 
 # -- rescaled-mass family -----------------------------------------------------

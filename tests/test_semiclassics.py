@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import beta
 
 from kvnlab import semiclassics
@@ -17,6 +19,7 @@ from kvnlab.semiclassics import (
     ground_width,
     lms_bohr_violation,
     newton_equiv_trajectory_check,
+    reduced_action,
     turning_points,
 )
 
@@ -70,17 +73,17 @@ class TestBadInputs:
             bohr_levels(HARMONIC, hbar, 2)
 
 
-def _amplitude(n, E):
-    """Turning point a = (nE/g)^(1/n) of the g = 1 monomial well."""
-    return (n * E) ** (1.0 / n)
+def _amplitude(n, E, g=1.0):
+    """Turning point a = (nE/g)^(1/n) of the monomial well."""
+    return (n * E / g) ** (1.0 / n)
 
 
 def _closed_period(n, E):
     return 4.0 * _amplitude(n, E) / math.sqrt(2.0 * E) * beta(1.0 / n, 0.5) / n
 
 
-def _closed_action(n, E):
-    return 4.0 * _amplitude(n, E) * math.sqrt(2.0 * E) * beta(1.0 / n, 1.5) / n
+def _closed_action(n, E, g=1.0):
+    return 4.0 * _amplitude(n, E, g) * math.sqrt(2.0 * E) * beta(1.0 / n, 1.5) / n
 
 
 class TestClosedFormOracles:
@@ -106,11 +109,12 @@ class TestClosedFormOracles:
         ratio = self._period(pot, alpha) / self._period(pot, 1.0)
         assert ratio == pytest.approx(alpha ** (1.0 - n / 2.0), rel=1e-11, abs=0.0)
 
-    @pytest.mark.parametrize("n", [4.0, 6.0])
-    @pytest.mark.parametrize("E", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("n", [4.0, 6.0, 2.0, 8.0, 10.0, 20.0])
+    @pytest.mark.parametrize("E", [0.5, 1.0, 3.0, 1e3])
     def test_loop_action(self, n, E):
-        got = action_integral(MonomialPotential(1.0, n), E)
-        assert got == pytest.approx(_closed_action(n, E), rel=1e-13, abs=0.0)
+        for g in (0.3, 1.0, 2.5):
+            got = action_integral(MonomialPotential(g, n), E)
+            assert got == pytest.approx(_closed_action(n, E, g), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("n", [4.0, 6.0])
     def test_bohr_levels(self, n):
@@ -146,9 +150,10 @@ class TestActionIntegral:
         assert jm / j == pytest.approx(alpha ** (1.0 + n / 2.0), rel=1e-9)
 
     def test_loose_quadrature_is_a_convergence_failure(self, monkeypatch):
-        # an error estimate above 1e-8 of the value is refused
-        monkeypatch.setattr(semiclassics, "quad", lambda *args, **kwargs: (2.0, 1e-7))
-        with pytest.raises(ConvergenceFailure, match="action quadrature error 1e-07"):
+        # four angles give 2 pi, the rule on two of them 4 pi: an error
+        # estimate above 1e-8 of the value is refused
+        monkeypatch.setattr(semiclassics, "ACTION_NODES", 4)
+        with pytest.raises(ConvergenceFailure, match=r"action quadrature error 6\.283\d+ on value"):
             action_integral(QUARTIC, 1.0)
 
 
@@ -184,7 +189,6 @@ class TestBohrViolation:
         prm = lms_params_from_alpha(1.3, 4.0)
         rep = lms_bohr_violation(QUARTIC, 1.0, prm, hbar=1.0)
         assert rep.delta_j == pytest.approx(rep.delta_j_closed_form, rel=1e-8)
-        assert not rep.exact_invariance
         assert rep.level_mismatch != 0.0
 
     def test_shift_is_positive_for_expanding_map(self):
@@ -193,11 +197,15 @@ class TestBohrViolation:
         assert rep.delta_j > 0.0
 
     def test_inverse_square_exactly_invariant(self):
-        prm = lms_params_from_alpha(1.3, -2.0)
-        rep = lms_bohr_violation(MonomialPotential(1.0, -2.0), 1.0, prm)
-        assert rep.exact_invariance
-        assert rep.delta_j == 0.0
-        assert rep.level_mismatch == 0.0
+        # no orbit closes at n = -2; the reduced action between endpoints
+        # the map carries along keeps its value up to roundoff
+        pot = MonomialPotential(1.0, -2.0)
+        with pytest.raises(NoBoundOrbit):
+            lms_bohr_violation(pot, 1.0, lms_params_from_alpha(1.3, -2.0))
+        w = reduced_action(pot, 1.0, 0.5, 2.0)
+        for alpha in (0.4, 1.3, 7.0):
+            w_mapped = reduced_action(pot, alpha**-2.0, alpha * 0.5, alpha * 2.0)
+            assert abs(w_mapped / w - 1.0) < 1e-14
 
     def test_level_mismatch_counts_quanta(self):
         prm = lms_params_from_alpha(1.3, 4.0)
@@ -206,6 +214,32 @@ class TestBohrViolation:
         assert rep.level_mismatch == pytest.approx(
             rep.delta_j / (2.0 * math.pi * hbar)
         )
+
+
+class TestReducedAction:
+    @pytest.mark.parametrize("n", [-1.0, 4.0])
+    @pytest.mark.parametrize("alpha", [0.4, 1.3, 7.0])
+    def test_other_exponents_scale_by_the_action_power(self, n, alpha):
+        # the control: away from n = -2 the same measurement moves by
+        # alpha^(1 + n/2), so the inverse-square check is no tautology
+        pot = MonomialPotential(1.0, n)
+        w = reduced_action(pot, 1.0, 0.5, 1.0)
+        w_mapped = reduced_action(pot, alpha**n, alpha * 0.5, alpha * 1.0)
+        assert w_mapped / w == pytest.approx(alpha ** (1.0 + n / 2.0), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("g, n, E, q1, q2", [
+        (1.0, -2.0, 1.0, 0.5, 2.0), (2.5, -2.0, 0.3, 0.2, 3.0), (1.0, -1.0, 1.0, 0.5, 1.0),
+        (1.0, 4.0, 1.0, -1.2, 0.7), (0.3, 6.0, 2.0, 0.0, 1.5),
+    ])
+    def test_matches_adaptive_quadrature(self, g, n, E, q1, q2):
+        pot = MonomialPotential(g, n)
+        expected, _ = quad(lambda q: math.sqrt(2.0 * (E - pot.value(q))), q1, q2,
+                           epsabs=0.0, epsrel=1e-13)
+        assert reduced_action(pot, E, q1, q2) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    def test_forbidden_interval_is_refused(self):
+        with pytest.raises(ValueError, match="V exceeds E"):
+            reduced_action(QUARTIC, 0.25, 0.0, 1.5)
 
 
 class TestNewtonEquivalence:
@@ -254,13 +288,48 @@ class TestGroundWidth:
             ground_width(MonomialPotential(1.0, 3.0), 1.0, 1.0)
 
 
+def _finite_differences(pot, gamma, hbar, k):
+    """Oracle: the k lowest eigenpairs of H_gamma by second-order finite
+    differences on 2048 interior points of a Dirichlet box of 8 ground
+    widths, with the grid."""
+    count = 2048
+    box = 8.0 * ground_width(pot, gamma, hbar)
+    x = np.linspace(-box, box, count + 2)[1:-1]
+    h = x[1] - x[0]
+    kin = hbar**2 / (2.0 * gamma * h * h)
+    w, v = eigh_tridiagonal(2.0 * kin + gamma * pot.value(x), np.full(count - 1, -kin),
+                            select="i", select_range=(0, k - 1))
+    return x, w, v
+
+
 class TestEigensolve:
     def test_harmonic_levels(self):
+        # xi^2 - d^2/dxi^2 is diagonal in the oscillator basis of the
+        # ground width
         res = eigensolve_newton_equiv(HARMONIC, 1.0, 1.0, 6)
-        dev = np.abs(res - (np.arange(6) + 0.5))
-        # second-order finite differences on 2048 points leave ~1e-4 in
-        # the sixth level
-        assert np.max(dev) < 5e-4
+        assert np.max(np.abs(res - (np.arange(6) + 0.5))) < 1e-12
+
+    def test_quartic_ground_level(self):
+        # p^2/2 + q^4/4 is 2^(-4/3) (p^2 + q^4) after q -> 2^(1/6) q, whose
+        # ground level is 1.0603620904 (Hioe and Montroll, J. Math. Phys.
+        # 16 (1975) 1945)
+        (res,) = eigensolve_newton_equiv(QUARTIC, 1.0, 1.0, 1)
+        assert res == pytest.approx(1.0603620904 * 2.0 ** (-4.0 / 3.0), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("n", [2.0, 4.0, 6.0])
+    @pytest.mark.parametrize("gamma, hbar", [(1.0, 1.0), (2.0, 0.5)])
+    def test_matches_finite_differences(self, n, gamma, hbar):
+        # the stencil's own error, up to 1e-4 in the sixth level, bounds
+        # the agreement
+        pot = MonomialPotential(1.0, n)
+        _, expected, _ = _finite_differences(pot, gamma, hbar, 6)
+        res = eigensolve_newton_equiv(pot, gamma, hbar, 6)
+        assert np.max(np.abs(res / expected - 1.0)) < 5e-4
+
+    @pytest.mark.parametrize("k", [0, semiclassics.BASIS_STATES // 8 + 1, semiclassics.BASIS_STATES + 1])
+    def test_k_beyond_the_basis_is_refused(self, k):
+        with pytest.raises(ValueError, match="the basis resolves"):
+            eigensolve_newton_equiv(QUARTIC, 1.0, 1.0, k)
 
     def test_harmonic_spectrum_gamma_free(self):
         base = eigensolve_newton_equiv(HARMONIC, 1.0, 1.0, 6)
@@ -270,17 +339,9 @@ class TestEigensolve:
     def test_harmonic_states_shrink_with_gamma(self):
         # spectra agree but the eigenfunctions do not: the ground state
         # narrows as gamma grows; solve the boxed problem directly
-        from scipy.linalg import eigh_tridiagonal
 
         def ground_sigma(gamma):
-            count = 2048
-            L = 8.0 * ground_width(HARMONIC, gamma, 1.0)
-            x = np.linspace(-L, L, count + 2)[1:-1]
-            h = x[1] - x[0]
-            kin = 1.0 / (2.0 * gamma * h * h)
-            diag = 2.0 * kin + gamma * 0.5 * x**2
-            off = np.full(count - 1, -kin)
-            w, v = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+            x, _, v = _finite_differences(HARMONIC, gamma, 1.0, 1)
             dens = np.abs(v[:, 0]) ** 2
             dens /= dens.sum()
             return math.sqrt(float(np.sum(x**2 * dens)))
