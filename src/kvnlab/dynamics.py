@@ -11,7 +11,7 @@ so the (q, p) block is ordinary Newtonian motion for unit mass while the
 (lq, lp) block is transported by the (negative transpose) linearized flow.
 
 Every trajectory in the package, here and in :mod:`kvnlab.semiclassics`,
-is integrated by one Taylor-series kernel, :func:`_taylor_steps`. For
+is integrated by one Taylor-series kernel, :func:`taylor_steps`. For
 V = g q^n / n the Taylor coefficients of the solution follow from a
 recurrence: Cauchy products give the powers of q for integer n >= 1, and
 J.C.P. Miller's power rule gives them for every other n, where the domain
@@ -163,23 +163,25 @@ def _poly(c, tau):
     return c[0] + np.dot(tau ** np.arange(1, len(c)), rest).reshape(c.shape[1:])
 
 
-def _taylor_steps(pot: MonomialPotential, y0, T: float, mass: float = 1.0):
-    """Advance y0 from t = 0 to T (either sign), one Taylor step at a time.
+def taylor_steps(pot: MonomialPotential, y0, T: float, mass: float = 1.0, t: float = 0.0):
+    """Advance y0 from time t to T (either direction), one Taylor step at a time.
 
     Yields (t, h, c, y) per step: its start, its signed size, its
-    coefficients and the state at its end, where the last step ends at T
-    exactly. All lanes of y0 share every step, of order BATCH_ORDER when
-    y0 has a lane axis and ORDER otherwise. Raises DomainError for a
-    start outside the domain or, where the potential is guarded, below
-    RMIN, SingularityAbort when a position of a guarded potential ends a
-    step below RMIN, and when the step size falls to roundoff (or the
-    series stops being finite) raises SingularityAbort if the steepest
-    lane moves toward a singular origin, else StepFailure. A non-finite T
-    raises ValueError: the loop would never reach it."""
+    coefficients and the state at its end. Only the last step depends on
+    T, which it ends at exactly, so a run resumed from the start (t, c[0])
+    of its last step, with that t, yields the steps of one longer run. All
+    lanes of y0 share every step, of order BATCH_ORDER when y0 has a lane
+    axis and ORDER otherwise. Raises DomainError for a start outside the
+    domain or, where the potential is guarded, below RMIN, SingularityAbort
+    when a position of a guarded potential ends a step below RMIN, and
+    when the step size falls to roundoff (or the series stops being
+    finite) raises SingularityAbort if the steepest lane moves toward a
+    singular origin, else StepFailure. A non-finite T raises ValueError:
+    the loop would never reach it."""
     if not math.isfinite(T):
         raise ValueError(f"horizon T must be finite, got {T!r}")
     y = np.array(y0, dtype=float)
-    guarded, t = _guarded(pot), 0.0
+    guarded = _guarded(pot)
     order = BATCH_ORDER if y.ndim > 1 else ORDER
     if not np.all(pot.admissible(y[0])) or (guarded and np.min(y[0]) < RMIN):
         raise DomainError(f"initial q={float(np.min(y[0]))!r} outside the potential "
@@ -189,12 +191,12 @@ def _taylor_steps(pot: MonomialPotential, y0, T: float, mass: float = 1.0):
             c = _coefficients(pot, y, order, mass)
         sizes = _step_sizes(c)
         lane = int(np.argmin(sizes))
-        h = math.copysign(min(float(sizes[lane]), abs(T - t)), T)
+        h = math.copysign(min(float(sizes[lane]), abs(T - t)), T - t)
         last = abs(h) == abs(T - t)
         if not last and abs(h) <= 10.0 * math.ulp(t):
             # the series' radius collapsed: the orbit falls into a singular
             # origin, or leaves every bound, in finite time
-            if guarded and np.atleast_1d(y[1])[lane] * T < 0.0:
+            if guarded and np.atleast_1d(y[1])[lane] * (T - t) < 0.0:
                 raise SingularityAbort(f"trajectory fell into the singular origin near t={t!r}")
             raise StepFailure(f"step size fell to {abs(h):.3g} at t={t!r}: the orbit "
                               "leaves every bound in finite time")
@@ -205,20 +207,15 @@ def _taylor_steps(pot: MonomialPotential, y0, T: float, mass: float = 1.0):
         t = T if last else t + h
 
 
-def sampled_flow(pot: MonomialPotential, y0, T: float, dt: float, mass: float = 1.0):
-    """Integrate y0 = (q, p) or (q, p, lq, lp) over [0, T] (T may be negative).
-
-    Returns the times sample_times(T, dt) and the states there, one row
-    per sample, evaluated on the polynomial of the step that holds each
-    sample. The system is dq/dt = p / mass, dp/dt = -mass V'(q) with the
-    auxiliary pair as in the module docstring."""
+def sample_steps(pot: MonomialPotential, steps, T: float, dt: float):
+    """Sample a taylor_steps run from t = 0 to T, or beyond (only its last
+    step depends on its end), on the grid sample_times(T, dt). Returns the
+    times and the states there, one row per sample, evaluated on the
+    polynomial of the step that holds each sample."""
     if T == 0:
         raise ValueError("horizon T must be nonzero")
     times = sample_times(T, dt)
-    starts, coeffs = [], []
-    for t, _, c, _ in _taylor_steps(pot, y0, T, mass=mass):
-        starts.append(t)
-        coeffs.append(c)
+    starts, _, coeffs, _ = zip(*steps)
     sign = math.copysign(1.0, T)
     step = np.searchsorted(sign * np.array(starts), sign * times, side="right") - 1
     tau = (times - np.array(starts)[step])[:, None]
@@ -254,7 +251,7 @@ def integrate(
 ) -> ExtendedTrajectory:
     """Integrate the extended system over [0, T] (T may be negative),
     sampled every dt on the uniform grid sample_times(T, dt)."""
-    times, states = sampled_flow(pot, x0.as_array(), T, dt)
+    times, states = sample_steps(pot, taylor_steps(pot, x0.as_array(), T), T, dt)
     return ExtendedTrajectory(times=times, states=states)
 
 
@@ -269,7 +266,7 @@ def flow_map_batch(qs, ps, pot: MonomialPotential, t: float):
     out = np.stack([qs, ps])
     for lo in range(0, qs.size, BLOCK):
         block = y = out[:, lo:lo + BLOCK]
-        for *_, y in _taylor_steps(pot, block, t):
+        for *_, y in taylor_steps(pot, block, t):
             pass
         block[:] = y
     return out[0], out[1]
@@ -317,7 +314,7 @@ def characteristic_time(pot: MonomialPotential, x0: ExtendedPoint) -> float:
     bound = 1e3 * (1.0 + abs(x0.q))
     hits = []
     try:
-        for t, h, c, y in _taylor_steps(pot, x0.as_array(), 20.0):
+        for t, h, c, y in taylor_steps(pot, x0.as_array(), 20.0):
             if c[0, 1] * y[1] < 0.0 or (y[1] == 0.0 and c[0, 1] != 0.0):
                 hits.append(t + _root(c[:, 1], h))
                 if len(hits) == 2:

@@ -63,12 +63,9 @@ def digest(obj) -> str:
 
 
 def _plain(value):
-    """Coerce numpy scalars and sequences into JSON-friendly values."""
-    if hasattr(value, "item") and not isinstance(value, (str, bytes)):
-        try:
-            return value.item()
-        except (AttributeError, ValueError):
-            pass
+    """Coerce numpy scalars, arrays and sequences into JSON-friendly values."""
+    if hasattr(value, "tolist"):
+        value = value.tolist()
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

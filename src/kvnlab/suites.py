@@ -13,6 +13,7 @@ two-line scenario gets meaningful coverage out of the box.
 from __future__ import annotations
 
 import importlib
+import json
 import math
 import os
 import zlib
@@ -84,7 +85,6 @@ class SuiteContext:
     seed: int
     records: list = field(default_factory=list)
     _traj_cache: dict = field(default_factory=dict)
-    _period_cache: dict = field(default_factory=dict)
 
     @property
     def potential(self) -> MonomialPotential:
@@ -107,17 +107,22 @@ class SuiteContext:
         return np.random.default_rng([self.seed, zlib.crc32(check_id.encode())])
 
     def trajectory(self, pot: MonomialPotential, x0: ExtendedPoint, periods: float):
-        """Integrate ``periods`` characteristic periods, memoized."""
-        from .dynamics import characteristic_time, integrate
+        """Sample ``periods`` characteristic periods of the orbit through x0
+        from its one cached run, (period, reach, steps); a longer horizon
+        resumes the run and replaces the entry only once it succeeds."""
+        from .dynamics import ExtendedTrajectory, characteristic_time, sample_steps, taylor_steps
 
         orbit = (pot.g, pot.n, x0.q, x0.p, x0.lq, x0.lp)
-        key = (*orbit, periods)
-        if key not in self._traj_cache:
-            if orbit not in self._period_cache:
-                self._period_cache[orbit] = characteristic_time(pot, x0)
-            horizon = periods * self._period_cache[orbit]
-            self._traj_cache[key] = integrate(x0, pot, horizon, horizon / 2000)
-        return self._traj_cache[key]
+        if orbit not in self._traj_cache:
+            self._traj_cache[orbit] = (characteristic_time(pot, x0), 0.0, [])
+        period, reach, steps = self._traj_cache[orbit]
+        horizon = periods * period
+        if horizon > reach:
+            # only the last step was clipped at the old reach: rerun it
+            t, y = (steps[-1][0], steps[-1][2][0]) if steps else (0.0, x0.as_array())
+            steps = steps[:-1] + list(taylor_steps(pot, y, horizon, t=t))
+            self._traj_cache[orbit] = (period, horizon, steps)
+        return ExtendedTrajectory(*sample_steps(pot, steps, horizon, horizon / 2000))
 
     def emit_csv(self, name: str, header, rows):
         write_csv(os.path.join(self.out_dir, name), header, rows)
@@ -130,16 +135,18 @@ class SuiteContext:
         and sets ``out.measured`` and ``out.passed``. If it raises, the
         record gets the verdict ``error`` and ``measured`` holds the
         exception's class and message; the exception goes no further. A
-        measured NaN or infinity says nothing about the claim, so it gives
-        the verdict ``error`` too, naming its key.
+        measured NaN or infinity, at any depth, says nothing about the
+        claim, so it gives the verdict ``error`` too, naming its key.
         """
         out = CheckOutcome(float(tolerance))
         try:
             yield out
             measured = _plain(out.measured)
-            bad = _non_finite_key(measured)
-            if bad is not None:
-                raise ValueError(f"measured value {bad!r} is not finite")
+            for key, value in measured.items():
+                try:
+                    json.dumps(value, allow_nan=False)
+                except ValueError:
+                    raise ValueError(f"measured value {key!r} is not finite") from None
         except Exception as exc:  # noqa: BLE001  a raising check is an error verdict
             measured, verdict = {"error": f"{type(exc).__name__}: {exc}"}, "error"
         else:
@@ -152,17 +159,6 @@ class SuiteContext:
             tolerance=out.tolerance,
             verdict=verdict,
         ))
-
-
-def _non_finite_key(measured: dict):
-    """The first measured key whose value holds a NaN or an infinity, else None."""
-    for key, value in measured.items():
-        if isinstance(value, dict):
-            value = list(value.values())
-        if any(isinstance(v, float) and not math.isfinite(v)
-               for v in (value if isinstance(value, list) else [value])):
-            return key
-    return None
 
 
 def _drift(values: np.ndarray) -> float:

@@ -6,13 +6,16 @@ import re
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from kvnlab import cli
-from kvnlab.report import CLAIMS, CheckRecord, digest
+from kvnlab import cli, dynamics
+from kvnlab.core import MonomialPotential
+from kvnlab.dynamics import characteristic_time, integrate
+from kvnlab.report import CLAIMS, CheckRecord, SuiteReport, digest, write_report
 from kvnlab.scenario import SCHEMA, SUITES, validate_scenario
-from kvnlab.errors import CheckFailure, ScenarioError
-from kvnlab.suites import SuiteContext
+from kvnlab.errors import CheckFailure, ScenarioError, SingularityAbort
+from kvnlab.suites import FIXTURES, SuiteContext, _start
 
 
 @pytest.fixture
@@ -35,6 +38,9 @@ def write_scenario(tmp_path, body, name="scenario.json"):
 
 
 BASIC = {"suite": "dynamics", "potential": {"g": 1.0, "n": 2.0}}
+#: the scenario the README runs
+README_SCENARIO = {"suite": "all", "potential": {"g": 1.0, "n": 4.0}, "lms": {"alpha": 1.3},
+                   "seed": 17}
 
 
 class TestSchemaCommand:
@@ -285,9 +291,7 @@ class TestDeterminism:
         sidecars hash to README_SIDECARS. A change that moves report values
         regenerates these pins on purpose, as it does bench/reference.json,
         and lists every moved value."""
-        body = {"suite": "all", "potential": {"g": 1.0, "n": 4.0}, "lms": {"alpha": 1.3},
-                "seed": 17}
-        sc = write_scenario(tmp_path, body)
+        sc = write_scenario(tmp_path, README_SCENARIO)
         proc = run_main(["run", str(sc), "--out", str(tmp_path / "rep")], capsys)
         assert proc.returncode == 0, proc.stderr
         raw = (tmp_path / "rep" / "report.json").read_bytes()
@@ -379,6 +383,21 @@ class TestCheckExecutor:
             ("error", {"error": "ValueError: measured value 'levels' is not finite"}),
         ]
 
+    @pytest.mark.parametrize("measured, verdict, recorded", [
+        ({"arr": np.array([1.0, 2.0])}, "pass", {"arr": [1.0, 2.0]}),
+        ({"a": {"b": [float("nan")]}}, "error",
+         {"error": "ValueError: measured value 'a' is not finite"}),
+    ], ids=["array", "nested-nan"])
+    def test_measured_arrays_and_nested_values_reach_the_report(self, tmp_path, measured,
+                                                                 verdict, recorded):
+        ctx = SuiteContext(scenario={}, out_dir=str(tmp_path), seed=0)
+        with ctx.check("x-value", "plumbing", {}, 1e-3) as out:
+            out.measured, out.passed = measured, True
+        report = SuiteReport("dynamics", 0, {"g": 1.0, "n": 4.0}, "0", ctx.records)
+        write_report(report, str(tmp_path / "report.json"))
+        (check,) = strict_report(tmp_path / "report.json")["checks"]
+        assert (check["verdict"], check["measured"]) == (verdict, recorded)
+
     def run_errored(self, tmp_path, capsys, suite, g, n, **extra):
         sc = write_scenario(tmp_path, {"suite": suite, "potential": {"g": g, "n": n}, **extra})
         proc = run_main(["run", str(sc), "--out", str(tmp_path / "rep")], capsys)
@@ -461,3 +480,54 @@ class TestSolutionMapGrid:
         check = next(c for c in rep["checks"] if c["id"] == "sym-solution-map-n6")
         assert check["verdict"] == "pass", check["measured"]
         assert check["measured"]["normalized_gap"] < 1e-9
+
+
+class TestOrbitCache:
+    """ctx.trajectory integrates each orbit once and samples every horizon
+    from its Taylor steps, bit for bit as a fresh integration would."""
+
+    @staticmethod
+    def assert_fresh(traj, x0, pot, horizon):
+        fresh = integrate(x0, pot, horizon, horizon / 2000)
+        assert np.array_equal(traj.times, fresh.times)
+        assert np.array_equal(traj.states, fresh.states)
+
+    @pytest.mark.parametrize("n", [4.0, -2.0, 3.0])
+    def test_every_horizon_equals_a_fresh_run(self, tmp_path, n):
+        ctx = SuiteContext(scenario={}, out_dir=str(tmp_path), seed=0)
+        pot = MonomialPotential(FIXTURES[n][0], n)
+        x0 = _start(pot)
+        period = characteristic_time(pot, x0)
+        for periods in [10.0, 2.0, 20.0, 1.3, 20.0]:
+            self.assert_fresh(ctx.trajectory(pot, x0, periods), x0, pot, periods * period)
+        assert len(ctx._traj_cache) == 1
+
+    def test_a_failed_extension_keeps_the_stored_steps(self, tmp_path):
+        # the attractive n = -3 orbit falls in before ten periods
+        ctx = SuiteContext(scenario={}, out_dir=str(tmp_path), seed=0)
+        pot = MonomialPotential(1.0, -3.0)
+        x0 = _start(pot)
+        period = characteristic_time(pot, x0)
+        for periods in [10.0, 2.0, 20.0, 2.0, 1.3]:
+            if periods > 2.0:
+                with pytest.raises(SingularityAbort, match="fell into the singular origin"):
+                    ctx.trajectory(pot, x0, periods)
+            else:
+                self.assert_fresh(ctx.trajectory(pot, x0, periods), x0, pot, periods * period)
+        assert len(ctx._traj_cache) == 1
+
+    def test_readme_run_integrates_each_orbit_once(self, tmp_path, capsys, monkeypatch):
+        # single-lane Taylor steps of the README run: 1,042 with one
+        # integration per (orbit, horizon), 770 with one per orbit
+        lanes = []
+        coefficients = dynamics._coefficients
+
+        def counted(pot, y, order, mass):
+            lanes.append(y.ndim == 1)
+            return coefficients(pot, y, order, mass)
+
+        monkeypatch.setattr(dynamics, "_coefficients", counted)
+        sc = write_scenario(tmp_path, README_SCENARIO)
+        proc = run_main(["run", str(sc), "--out", str(tmp_path / "rep")], capsys)
+        assert proc.returncode == 0, proc.stderr
+        assert sum(lanes) <= 770

@@ -16,6 +16,7 @@ from kvnlab.dynamics import (
     flow_map_batch,
     integrate,
     sample_times,
+    taylor_steps,
 )
 from kvnlab.errors import DomainError, SingularityAbort, StepFailure
 from kvnlab.suites import FIXTURES
@@ -243,6 +244,24 @@ class TestIntegrate:
         # the inverted quartic sends q to infinity in finite time
         with pytest.raises(StepFailure):
             integrate(ExtendedPoint(1.0, 0.05, 0.3, -0.2), MonomialPotential(-1.0, 4.0), 10.0)
+
+    @pytest.mark.parametrize("n", [4.0, -2.0, 1.0])
+    def test_resumed_run_is_one_longer_run(self, n):
+        # a step depends on its start alone, apart from the last, which is
+        # clipped at the horizon; n = 1 has a polynomial solution, one step
+        g, ic = FIXTURES[n]
+        pot = MonomialPotential(g, n)
+        short = list(taylor_steps(pot, ic, 3.0))
+        t, _, c, _ = short[-1]
+        resumed = short[:-1] + list(taylor_steps(pot, c[0], 7.0, t=t))
+        whole = list(taylor_steps(pot, ic, 7.0))
+        if n == 1.0:
+            assert len(whole) == 1
+        else:
+            assert len(short) > 1
+        assert len(resumed) == len(whole)
+        for (t1, _, c1, _), (t2, _, c2, _) in zip(resumed, whole):
+            assert t1 == t2 and np.array_equal(c1, c2)
 
     def test_trajectory_accessors(self):
         x0 = ExtendedPoint(1.0, 0.0, 0.3, -0.2)

@@ -331,6 +331,13 @@ class TestEigensolve:
         with pytest.raises(ValueError, match="the basis resolves"):
             eigensolve_newton_equiv(QUARTIC, 1.0, 1.0, k)
 
+    @pytest.mark.parametrize("n", [8.0, 10.0])
+    def test_steeper_wells_than_the_basis_resolves_are_refused(self, n):
+        # against a 400-state solve the six lowest levels are off by 7e-7
+        # at n = 8 and 3e-4 at n = 10, relative, where n = 6 is good to 1e-9
+        with pytest.raises(ValueError, match="exponents up to 6, not n=" + str(int(n))):
+            eigensolve_newton_equiv(MonomialPotential(1.0, n), 1.0, 1.0, 6)
+
     def test_harmonic_spectrum_gamma_free(self):
         base = eigensolve_newton_equiv(HARMONIC, 1.0, 1.0, 6)
         other = eigensolve_newton_equiv(HARMONIC, 8.0, 1.0, 6)
