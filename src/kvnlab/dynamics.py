@@ -309,26 +309,35 @@ def characteristic_time(pot: MonomialPotential, x0: ExtendedPoint) -> float:
     escapes (or that reaches the guard radius) falls back to the crossing
     scale |q0/p0|, doubled (1 when p0 = 0).
     """
+    return _probe(pot, x0)[0]
+
+
+def _probe(pot: MonomialPotential, x0: ExtendedPoint):
+    """characteristic_time's estimate and the steps it scanned, less one
+    clipped at the probe's horizon: the others depend only on their starts,
+    so they are the first steps of the orbit's run to any horizon, bit for bit."""
     if pot.n == 2.0 and pot.g > 0:
-        return 2.0 * math.pi / math.sqrt(pot.g)
+        return 2.0 * math.pi / math.sqrt(pot.g), []
     bound = 1e3 * (1.0 + abs(x0.q))
-    hits = []
+    hits, steps = [], []
     try:
         for t, h, c, y in taylor_steps(pot, x0.as_array(), 20.0):
+            if h != 20.0 - t:
+                steps.append((t, h, c, y))
             if c[0, 1] * y[1] < 0.0 or (y[1] == 0.0 and c[0, 1] != 0.0):
                 hits.append(t + _root(c[:, 1], h))
                 if len(hits) == 2:
-                    return 2.0 * (hits[1] - hits[0])
+                    return 2.0 * (hits[1] - hits[0]), steps
             if abs(y[0]) >= bound:
                 if hits:
                     break
                 shifted = c[:, 0].copy()
                 shifted[0] -= math.copysign(bound, y[0])
-                return t + _root(shifted, h)
+                return t + _root(shifted, h), steps
     except SingularityAbort:
         pass
     if hits:
-        return 2.0 * hits[0]
+        return 2.0 * hits[0], steps
     if x0.p != 0:
-        return 2.0 * abs(x0.q / x0.p)
-    return 1.0
+        return 2.0 * abs(x0.q / x0.p), steps
+    return 1.0, steps

@@ -17,6 +17,7 @@ spectrum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -152,6 +153,15 @@ class NewtonEquivReport:
     max_energy_relation_dev: float
 
 
+@functools.lru_cache(maxsize=2)
+def _newton_equiv_run(pot: MonomialPotential, q0: float, p0: float, T: float, mass: float):
+    """Read-only (q, p) rows of the run from (q0, mass p0), every NEWTON_EQUIV_DT;
+    two entries keep the mass-1 reference between the gamma runs."""
+    y = sample_steps(pot, taylor_steps(pot, (q0, mass * p0), T, mass), T, NEWTON_EQUIV_DT)[1].T
+    y.flags.writeable = False
+    return y
+
+
 def newton_equiv_trajectory_check(
     pot: MonomialPotential,
     gamma: float,
@@ -165,13 +175,8 @@ def newton_equiv_trajectory_check(
     of p_gamma(t) versus gamma p(t), and of H_gamma versus gamma H_st."""
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma must be finite and positive, got {gamma!r}")
-
-    def run(gv):
-        steps = taylor_steps(pot, (x0.q, gv * x0.p), T, mass=gv)
-        return sample_steps(pot, steps, T, NEWTON_EQUIV_DT)[1].T
-
-    y_st = run(1.0)
-    y_g = run(gamma)
+    y_st = _newton_equiv_run(pot, x0.q, x0.p, T, 1.0)
+    y_g = _newton_equiv_run(pot, x0.q, x0.p, T, gamma)
     h_st = y_st[1] ** 2 / 2.0 + pot.value(y_st[0])
     h_g = y_g[1] ** 2 / (2.0 * gamma) + gamma * pot.value(y_g[0])
     return NewtonEquivReport(

@@ -108,17 +108,18 @@ class SuiteContext:
 
     def trajectory(self, pot: MonomialPotential, x0: ExtendedPoint, periods: float):
         """Sample ``periods`` characteristic periods of the orbit through x0
-        from its one cached run, (period, reach, steps); a longer horizon
-        resumes the run and replaces the entry only once it succeeds."""
-        from .dynamics import ExtendedTrajectory, characteristic_time, sample_steps, taylor_steps
+        from its one cached run, (period, reach, steps), which the period probe
+        starts; a longer horizon resumes it, replacing the entry only on success."""
+        from .dynamics import ExtendedTrajectory, _probe, sample_steps, taylor_steps
 
         orbit = (pot.g, pot.n, x0.q, x0.p, x0.lq, x0.lp)
         if orbit not in self._traj_cache:
-            self._traj_cache[orbit] = (characteristic_time(pot, x0), 0.0, [])
+            period, steps = _probe(pot, x0)
+            self._traj_cache[orbit] = (period, steps[-1][0] + steps[-1][1] if steps else 0.0, steps)
         period, reach, steps = self._traj_cache[orbit]
         horizon = periods * period
         if horizon > reach:
-            # only the last step was clipped at the old reach: rerun it
+            # only the last step can be clipped at the old reach: rerun it
             t, y = (steps[-1][0], steps[-1][2][0]) if steps else (0.0, x0.as_array())
             steps = steps[:-1] + list(taylor_steps(pot, y, horizon, t=t))
             self._traj_cache[orbit] = (period, horizon, steps)

@@ -396,6 +396,13 @@ class TestCharacteristicTime:
         got = characteristic_time(MonomialPotential(-1.0, 2.0), x0)
         assert got == pytest.approx(escape, rel=1e-12)
 
+    def test_a_probe_step_clipped_at_its_horizon_is_still_scanned(self):
+        # V = g q is integrated exactly: the probe's one step is the whole
+        # polynomial, clipped at t = 20, and p = p0 - g t turns at p0/g
+        x0 = ExtendedPoint(1.0, 1.0, 0.3, -0.2)
+        est = characteristic_time(MonomialPotential(2.5, 1.0), x0)
+        assert est == pytest.approx(2.0 * x0.p / 2.5, rel=1e-12)
+
     def test_escaping_orbit_gets_finite_scale(self):
         pot = MonomialPotential(1.0, -2.0)
         x0 = ExtendedPoint(1.0, 1.2, 0.3, -0.2)

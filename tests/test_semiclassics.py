@@ -258,6 +258,18 @@ class TestNewtonEquivalence:
         )
         assert rep.max_q_diff < 1e-7
 
+    def test_the_reference_is_integrated_once_and_read_only(self):
+        # the gamma runs alternate with the mass-1 reference they compare
+        # against; the memo keeps it, and hands out arrays no caller can edit
+        x0 = PhasePoint(1.0, 0.3)
+        semiclassics._newton_equiv_run.cache_clear()
+        for gamma in (0.5, 2.0, 10.0):
+            newton_equiv_trajectory_check(QUARTIC, gamma, x0, 1.0)
+        assert semiclassics._newton_equiv_run.cache_info().misses == 4
+        ref = semiclassics._newton_equiv_run(QUARTIC, x0.q, x0.p, 1.0, 1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            ref[0, 0] = 0.0
+
     def test_gamma_must_be_positive(self):
         with pytest.raises(ValueError):
             newton_equiv_trajectory_check(QUARTIC, -1.0, PhasePoint(1.0, 0.0), 1.0)
