@@ -17,7 +17,7 @@ import sys
 import time
 
 from .errors import KvnLabError, ScenarioError
-from .report import SuiteReport, digest, write_report
+from .report import digest, write_report
 from .scenario import (
     SUITES,
     load_scenario,
@@ -84,16 +84,10 @@ def cmd_run(args) -> int:
         import_suite_modules(suite)
         ctx = SuiteContext(scenario=scenario, out_dir=out_dir, seed=seed)
         start = time.perf_counter()
-        records = run_checks(ctx, suite)
-        report = SuiteReport(
-            suite=suite,
-            seed=seed,
-            potential=scenario["potential"],
-            scenario_digest=digest(raw),
-            records=records,
-            wall_time_s=round(time.perf_counter() - start, 6),
-        )
-        write_report(report, os.path.join(out_dir, "report.json"))
+        checks = run_checks(ctx, suite)
+        wall_time_s = round(time.perf_counter() - start, 6)
+        write_report(os.path.join(out_dir, "report.json"), suite, seed, scenario["potential"],
+                     digest(raw), checks, wall_time_s)
     except KvnLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -101,17 +95,18 @@ def cmd_run(args) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    errors = [r for r in records if r.verdict == "error"]
-    for rec in records:
-        print(f"{rec.verdict if rec.passed else rec.verdict.upper()}  {rec.check_id}")
-    for rec in errors:
-        print(f"error: {rec.check_id}: {rec.measured['error']}", file=sys.stderr)
-    passed = sum(r.passed for r in records)
-    print(f"{passed}/{len(records)} checks passed")
+    errors = [c for c in checks if c["verdict"] == "error"]
+    for check in checks:
+        verdict = check["verdict"]
+        print(f"{verdict if verdict == 'pass' else verdict.upper()}  {check['id']}")
+    for check in errors:
+        print(f"error: {check['id']}: {check['measured']['error']}", file=sys.stderr)
+    passed = sum(c["verdict"] == "pass" for c in checks)
+    print(f"{passed}/{len(checks)} checks passed")
     print(f"report: {os.path.join(out_dir, 'report.json')}")
     if errors:
         return EXIT_RUNTIME
-    return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
+    return EXIT_OK if passed == len(checks) else EXIT_CHECK_FAILED
 
 
 def main(argv=None) -> int:

@@ -53,6 +53,10 @@ BATCH_ORDER = 20
 BLOCK = 4096
 #: Guard radius: where V is defined on q > 0 only, positions stay above it.
 RMIN = 1e-6
+#: Largest integer exponent the kernel takes: its Cauchy products build
+#: q^2 .. q^(n-2) on every step, so a step costs in proportion to n, and
+#: past 1024 the power q^n overflows a double already at |q| = 2.
+MAX_INTEGER_N = 1024
 
 
 @dataclass(frozen=True)
@@ -177,9 +181,13 @@ def taylor_steps(pot: MonomialPotential, y0, T: float, mass: float = 1.0, t: flo
     when the step size falls to roundoff (or the series stops being
     finite) raises SingularityAbort if the steepest lane moves toward a
     singular origin, else StepFailure. A non-finite T raises ValueError:
-    the loop would never reach it."""
+    the loop would never reach it, and so does an integer exponent above
+    MAX_INTEGER_N."""
     if not math.isfinite(T):
         raise ValueError(f"horizon T must be finite, got {T!r}")
+    if _is_positive_integer(pot.n) and pot.n > MAX_INTEGER_N:
+        raise ValueError(f"the kernel takes integer exponents up to {MAX_INTEGER_N}, "
+                         f"not n={pot.n!r}")
     y = np.array(y0, dtype=float)
     guarded = _guarded(pot)
     order = BATCH_ORDER if y.ndim > 1 else ORDER

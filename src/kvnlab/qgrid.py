@@ -375,9 +375,6 @@ class SchmidtSpectrum:
             return 0.0
         return float(self.values[1] / self.values[0])
 
-    def squared_sum(self) -> float:
-        return float(np.sum(self.values**2))
-
 
 def schmidt(state: GridState2D) -> SchmidtSpectrum:
     """Schmidt spectrum of psi(x1, x2) under the flat grid measure.

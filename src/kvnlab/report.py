@@ -1,9 +1,11 @@
-"""Check records, the claims registry, and report emission.
+"""The claims registry and report emission.
 
-Every suite check carries an anchor naming the claim it exercises; anchors
-must resolve against the registry below so a report can't silently test
-nothing. Reports are written atomically and deterministically: the only
-field that varies between identical runs is ``wall_time_s``.
+Every suite check carries an anchor naming the claim it exercises;
+:meth:`kvnlab.suites.SuiteContext.check` resolves it against the registry
+below before the check runs, so a report can't silently test nothing, and
+appends the check's report entry. :func:`write_report` writes a run's
+entries once, atomically and deterministically: the only field that varies
+between identical runs is ``wall_time_s``.
 """
 
 from __future__ import annotations
@@ -15,9 +17,6 @@ import json
 import numbers
 import os
 import tempfile
-from dataclasses import dataclass, field
-
-from .errors import CheckFailure
 
 #: Claims the suites are allowed to cite. Keys are anchors; values state the
 #: claim in one line. "plumbing" marks consistency checks of the toolkit
@@ -73,73 +72,6 @@ def _plain(value):
     return value
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    """Outcome of one suite check: verdict ``pass``, ``fail`` or ``error``."""
-
-    check_id: str
-    anchor: str
-    inputs_digest: str
-    measured: dict
-    tolerance: float
-    verdict: str
-
-    def __post_init__(self):
-        if self.anchor not in CLAIMS:
-            raise CheckFailure(f"unregistered anchor {self.anchor!r}")
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.check_id,
-            "anchor": self.anchor,
-            "inputs_digest": self.inputs_digest,
-            "measured": _plain(self.measured),
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-        }
-
-
-@dataclass
-class SuiteReport:
-    """Aggregate of all records from one run."""
-
-    suite: str
-    seed: int
-    potential: dict
-    scenario_digest: str
-    records: list = field(default_factory=list)
-    wall_time_s: float = 0.0
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.records)
-
-    def to_dict(self) -> dict:
-        # Imported here: the package imports this module before it sets
-        # __version__.
-        from . import __version__
-
-        ordered = sorted(self.records, key=lambda r: r.check_id)
-        return {
-            "version": __version__,
-            "suite": self.suite,
-            "seed": self.seed,
-            "potential": _plain(self.potential),
-            "scenario_digest": self.scenario_digest,
-            "wall_time_s": self.wall_time_s,
-            "summary": {
-                "total": len(ordered),
-                "passed": sum(r.passed for r in ordered),
-                "failed": sum(not r.passed for r in ordered),
-            },
-            "checks": [r.to_dict() for r in ordered],
-        }
-
-
 def _atomic_write(path: str, data: str):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -153,8 +85,26 @@ def _atomic_write(path: str, data: str):
         raise
 
 
-def write_report(report: SuiteReport, path: str):
-    text = json.dumps(report.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+def write_report(path: str, suite: str, seed: int, potential: dict, scenario_digest: str,
+                 checks: list, wall_time_s: float):
+    """Write one run's report atomically. ``checks`` are the entries
+    :meth:`SuiteContext.check` appended, in the order they appear."""
+    # Imported here: the package imports this module before it sets
+    # __version__.
+    from . import __version__
+
+    passed = sum(c["verdict"] == "pass" for c in checks)
+    document = {
+        "version": __version__,
+        "suite": suite,
+        "seed": seed,
+        "potential": potential,
+        "scenario_digest": scenario_digest,
+        "wall_time_s": wall_time_s,
+        "summary": {"total": len(checks), "passed": passed, "failed": len(checks) - passed},
+        "checks": checks,
+    }
+    text = json.dumps(document, indent=2, sort_keys=True, allow_nan=False)
     _atomic_write(path, text + "\n")
 
 

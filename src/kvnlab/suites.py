@@ -2,12 +2,13 @@
 
 Each suite is a function of a :class:`SuiteContext` that runs its checks
 over the library API. A check runs inside ``with ctx.check(...) as out``:
-its body computes a small set of measured numbers and compares them
-against a tolerance, and the context records one verdict for the claim it
-exercises. A body that raises gives an ``error`` verdict for that check
-alone; the suite goes on to its next check. Sweep suites iterate a fixture
-table of exponents with known-good couplings and initial conditions, so a
-two-line scenario gets meaningful coverage out of the box.
+the context checks its anchor against ``report.CLAIMS``, the body computes
+a small set of measured numbers and compares them against a tolerance, and
+the context appends the check's report entry, with its verdict. A body that
+raises gives an ``error`` verdict for that check alone; the suite goes on
+to its next check. Sweep suites iterate a fixture table of exponents with
+known-good couplings and initial conditions, so a two-line scenario gets
+meaningful coverage out of the box.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from .core import (
     lms_params_from_alpha,
     lms_params_from_beta,
 )
-from .report import CheckRecord, _plain, digest, write_csv
+from .errors import CheckFailure
+from .report import CLAIMS, _plain, digest, write_csv
 
 #: exponent -> (coupling, initial extended point) with decent energy and a
 #: horizon long enough for twenty characteristic periods.
@@ -48,6 +50,10 @@ BOHR_SWEEP = (2.0, 4.0, 6.0)
 GAMMA_SWEEP = (0.5, 2.0, 10.0)
 
 _GENERIC_IC = (1.0, 0.05, 0.3, -0.2)
+
+#: Intervals of every sampled trajectory's grid: a check that integrates
+#: its own run over a ``ctx.trajectory`` horizon lands on the same samples.
+SAMPLES = 2000
 
 
 def _start(pot: MonomialPotential) -> ExtendedPoint:
@@ -78,7 +84,7 @@ class CheckOutcome:
 
 @dataclass
 class SuiteContext:
-    """Shared configuration, caches and collected records for one run."""
+    """Shared configuration, caches and report entries for one run."""
 
     scenario: dict
     out_dir: str
@@ -123,22 +129,25 @@ class SuiteContext:
             t, y = (steps[-1][0], steps[-1][2][0]) if steps else (0.0, x0.as_array())
             steps = steps[:-1] + list(taylor_steps(pot, y, horizon, t=t))
             self._traj_cache[orbit] = (period, horizon, steps)
-        return ExtendedTrajectory(*sample_steps(pot, steps, horizon, horizon / 2000))
+        return ExtendedTrajectory(*sample_steps(pot, steps, horizon, horizon / SAMPLES))
 
     def emit_csv(self, name: str, header, rows):
         write_csv(os.path.join(self.out_dir, name), header, rows)
 
     @contextmanager
     def check(self, check_id: str, anchor: str, inputs, tolerance: float):
-        """Run one check's body and append its record to ``records``.
+        """Run one check's body and append its report entry to ``records``.
 
-        The body compares against ``out.tolerance``, the value recorded,
-        and sets ``out.measured`` and ``out.passed``. If it raises, the
-        record gets the verdict ``error`` and ``measured`` holds the
-        exception's class and message; the exception goes no further. A
-        measured NaN or infinity, at any depth, says nothing about the
+        An anchor missing from ``CLAIMS`` raises CheckFailure before the
+        body runs. The body compares against ``out.tolerance``, the value
+        recorded, and sets ``out.measured`` and ``out.passed``. If it
+        raises, the entry gets the verdict ``error`` and ``measured`` holds
+        the exception's class and message; the exception goes no further.
+        A measured NaN or infinity, at any depth, says nothing about the
         claim, so it gives the verdict ``error`` too, naming its key.
         """
+        if anchor not in CLAIMS:
+            raise CheckFailure(f"unregistered anchor {anchor!r}")
         out = CheckOutcome(float(tolerance))
         try:
             yield out
@@ -152,14 +161,14 @@ class SuiteContext:
             measured, verdict = {"error": f"{type(exc).__name__}: {exc}"}, "error"
         else:
             verdict = "pass" if out.passed else "fail"
-        self.records.append(CheckRecord(
-            check_id=check_id,
-            anchor=anchor,
-            inputs_digest=digest(_plain(inputs)),
-            measured=measured,
-            tolerance=out.tolerance,
-            verdict=verdict,
-        ))
+        self.records.append({
+            "id": check_id,
+            "anchor": anchor,
+            "inputs_digest": digest(_plain(inputs)),
+            "measured": measured,
+            "tolerance": out.tolerance,
+            "verdict": verdict,
+        })
 
 
 def _drift(values: np.ndarray) -> float:
@@ -223,7 +232,7 @@ def suite_dynamics(ctx: SuiteContext):
     ) as out:
         traj = ctx.trajectory(pot, xf, 2.0)
         horizon = traj.times[-1]
-        dt = horizon / 2000
+        dt = horizon / SAMPLES
         plus = integrate(
             ExtendedPoint(xf.q + eps * v[0], xf.p + eps * v[1], 0.0, 0.0), pot, horizon, dt
         )
@@ -329,7 +338,7 @@ def suite_lms_classical(ctx: SuiteContext):
             traj = ctx.trajectory(pot, x0, 2.0)
             mapped = lms_map_trajectory(traj, prm)
             horizon = mapped.times[-1]
-            redone = integrate(mapped.initial, pot, horizon, abs(horizon) / 2000)
+            redone = integrate(mapped.initial, pot, horizon, abs(horizon) / SAMPLES)
             resampled = np.stack([
                 np.interp(mapped.times, redone.times, redone.states[:, k]) for k in range(4)
             ], axis=1)
@@ -750,7 +759,7 @@ def import_suite_modules(suite: str):
 
 
 def run_checks(ctx: SuiteContext, suite: str):
-    """Run one suite (or all of them) and return the records sorted by id."""
+    """Run one suite (or all of them) and return its report entries sorted by id."""
     for name in _selected(suite):
         SUITE_FUNCS[name](ctx)
-    return sorted(ctx.records, key=lambda r: r.check_id)
+    return sorted(ctx.records, key=lambda r: r["id"])

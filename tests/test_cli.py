@@ -12,7 +12,7 @@ import pytest
 from kvnlab import cli, dynamics, semiclassics
 from kvnlab.core import MonomialPotential
 from kvnlab.dynamics import characteristic_time, integrate
-from kvnlab.report import CLAIMS, CheckRecord, SuiteReport, digest, write_report
+from kvnlab.report import CLAIMS, digest, write_report
 from kvnlab.scenario import SCHEMA, SUITES, validate_scenario
 from kvnlab.errors import CheckFailure, ScenarioError, SingularityAbort
 from kvnlab.suites import FIXTURES, SuiteContext, _start
@@ -347,9 +347,13 @@ class TestSuiteList:
 
 
 class TestCheckExecutor:
-    def test_unregistered_anchor_is_refused(self):
+    def test_an_unregistered_anchor_stops_the_check_before_its_body(self, tmp_path):
+        ctx = SuiteContext(scenario={}, out_dir=str(tmp_path), seed=0)
+        ran = []
         with pytest.raises(CheckFailure, match="unregistered anchor 'no-such-claim'"):
-            CheckRecord("x-anchor", "no-such-claim", digest({}), {}, 1e-3, "pass")
+            with ctx.check("x-anchor", "no-such-claim", {}, 1e-3) as out:
+                ran.append(out)
+        assert ran == [] and ctx.records == []
 
     def test_raising_body_gives_error_record_and_next_check_runs(self, tmp_path):
         ctx = SuiteContext(scenario={}, out_dir=str(tmp_path), seed=0)
@@ -360,7 +364,7 @@ class TestCheckExecutor:
         with ctx.check("x-next", "plumbing", {"steps": 4}, 0.5) as out:
             out.measured, out.passed = {"gap": 0.1}, True
         first, second = ctx.records
-        assert first.to_dict() == {
+        assert first == {
             "id": "x-raises",
             "anchor": "plumbing",
             "inputs_digest": digest(inputs),
@@ -368,8 +372,7 @@ class TestCheckExecutor:
             "tolerance": 1e-3,
             "verdict": "error",
         }
-        assert not first.passed
-        assert (second.check_id, second.verdict, second.measured) == (
+        assert (second["id"], second["verdict"], second["measured"]) == (
             "x-next", "pass", {"gap": 0.1})
 
     def test_non_finite_measurement_is_an_error_naming_its_key(self, tmp_path):
@@ -378,7 +381,7 @@ class TestCheckExecutor:
             out.measured, out.passed = {"gap": 0.0, "drift": float("nan")}, False
         with ctx.check("x-inf", "plumbing", {}, 1e-3) as out:
             out.measured, out.passed = {"levels": [1.0, float("inf")]}, True
-        assert [(r.verdict, r.measured) for r in ctx.records] == [
+        assert [(r["verdict"], r["measured"]) for r in ctx.records] == [
             ("error", {"error": "ValueError: measured value 'drift' is not finite"}),
             ("error", {"error": "ValueError: measured value 'levels' is not finite"}),
         ]
@@ -393,8 +396,8 @@ class TestCheckExecutor:
         ctx = SuiteContext(scenario={}, out_dir=str(tmp_path), seed=0)
         with ctx.check("x-value", "plumbing", {}, 1e-3) as out:
             out.measured, out.passed = measured, True
-        report = SuiteReport("dynamics", 0, {"g": 1.0, "n": 4.0}, "0", ctx.records)
-        write_report(report, str(tmp_path / "report.json"))
+        write_report(str(tmp_path / "report.json"), "dynamics", 0, {"g": 1.0, "n": 4.0}, "0",
+                     ctx.records, 0.0)
         (check,) = strict_report(tmp_path / "report.json")["checks"]
         assert (check["verdict"], check["measured"]) == (verdict, recorded)
 
@@ -427,6 +430,16 @@ class TestCheckExecutor:
         assert sorted(errors) == ["dyn-energy-drift", "dyn-tangent-pairing"]
         assert all(m.startswith("StepFailure: ") for m in errors.values())
         assert others == {"dyn-flow-composition": "pass", "dyn-harmonic-return": "pass"}
+
+    def test_a_huge_integer_exponent_is_an_error_naming_n(self, tmp_path, capsys):
+        # the kernel refuses the exponent before it builds the n - 3 powers
+        # of its recurrence, which at n = 1e9 would exhaust memory
+        errors, others = self.run_errored(tmp_path, capsys, "dynamics", 1.0, 1e9)
+        assert sorted(errors) == ["dyn-energy-drift", "dyn-flow-composition",
+                                  "dyn-tangent-pairing"]
+        assert all(m.startswith("ValueError: ") and m.endswith("not n=1000000000.0")
+                   for m in errors.values())
+        assert others == {"dyn-harmonic-return": "pass"}
 
     def test_overflowing_levels_are_an_error_in_a_written_report(self, tmp_path, capsys):
         # at hbar = 1e308 every quantized energy overflows; the report must

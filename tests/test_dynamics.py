@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.integrate import solve_ivp
 from kvnlab.core import ExtendedPoint, MonomialPotential
 from kvnlab.dynamics import (
     BLOCK,
+    MAX_INTEGER_N,
     RMIN,
     _coefficients,
     characteristic_time,
@@ -49,6 +51,21 @@ def test_start_inside_the_guard_radius_is_a_domain_error(n):
             integrate(ExtendedPoint(q0, 3.0, 0.0, 0.0), pot, 0.1, 0.01)
         with pytest.raises(DomainError):
             flow_map_batch([1.0, q0], [0.0, 3.0], pot, 0.1)
+
+
+@pytest.mark.parametrize("n", [MAX_INTEGER_N + 1.0, 1e9])
+def test_an_integer_exponent_above_the_bound_is_refused_before_any_step(n):
+    # the Cauchy products build n - 3 powers on every step
+    with pytest.raises(ValueError, match=re.escape(f"not n={n!r}")):
+        next(taylor_steps(MonomialPotential(1.0, n), (1.0, 0.0), 1.0))
+
+
+@pytest.mark.parametrize("n", [float(MAX_INTEGER_N), 1e9 + 0.5])
+def test_the_bound_and_a_huge_real_exponent_still_step(n):
+    # the bound itself is taken, and a non-integer exponent goes through
+    # Miller's rule, whose cost does not grow with n
+    t, h, c, y = next(taylor_steps(MonomialPotential(1.0, n), (1.0, 0.0), 1e-3))
+    assert np.isfinite(y).all()
 
 
 def test_zero_time_batch_checks_its_start_and_returns_its_input():

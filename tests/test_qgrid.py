@@ -649,7 +649,7 @@ class TestSchmidt:
     def test_weights_sum_to_norm_squared(self):
         state = _qqbar_gaussian(count=64)
         spec = schmidt(state)
-        assert spec.squared_sum() == pytest.approx(1.0, abs=1e-10)
+        assert np.sum(spec.values**2) == pytest.approx(1.0, abs=1e-10)
 
     def test_known_two_term_superposition(self):
         # amplitudes (2 f g + 1 g f)/sqrt(5) with nearly orthogonal f, g
