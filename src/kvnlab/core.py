@@ -136,12 +136,16 @@ class LmsParams:
 
 
 def lms_params_from_beta(beta: float, n: float) -> LmsParams:
-    """Build LmsParams from the log-scale parameter beta."""
-    if not math.isfinite(beta):
-        raise UndefinedError("beta must be finite")
+    """Build LmsParams from the log-scale parameter beta, for which the
+    scale factor alpha = exp(beta) must be a positive finite float."""
     if not math.isfinite(n) or n == 0:
         raise UndefinedError("exponent n must be finite and nonzero")
-    alpha = math.exp(beta)
+    try:
+        alpha = math.exp(beta)
+    except OverflowError:
+        alpha = math.inf
+    if not 0.0 < alpha < math.inf:
+        raise UndefinedError(f"beta={beta!r}: exp(beta) is not a positive finite float")
     return LmsParams(alpha=alpha, beta=beta, alpha_tilde=beta * (n - 2.0) / 2.0, n=n)
 
 

@@ -321,17 +321,17 @@ def characteristic_time(pot: MonomialPotential, x0: ExtendedPoint) -> float:
 
 
 def _probe(pot: MonomialPotential, x0: ExtendedPoint):
-    """characteristic_time's estimate and the steps it scanned, less one
-    clipped at the probe's horizon: the others depend only on their starts,
-    so they are the first steps of the orbit's run to any horizon, bit for bit."""
+    """characteristic_time's estimate and every step it scanned, as
+    taylor_steps yielded them. Only the last one depends on where the probe
+    stopped, a step clipped at its horizon included, so a run resumed from
+    that step's start extends them to any horizon, bit for bit."""
     if pot.n == 2.0 and pot.g > 0:
         return 2.0 * math.pi / math.sqrt(pot.g), []
     bound = 1e3 * (1.0 + abs(x0.q))
     hits, steps = [], []
     try:
         for t, h, c, y in taylor_steps(pot, x0.as_array(), 20.0):
-            if h != 20.0 - t:
-                steps.append((t, h, c, y))
+            steps.append((t, h, c, y))
             if c[0, 1] * y[1] < 0.0 or (y[1] == 0.0 and c[0, 1] != 0.0):
                 hits.append(t + _root(c[:, 1], h))
                 if len(hits) == 2:

@@ -115,24 +115,6 @@ class GridState2D:
             raise NonNormalizable(f"norm {n!r} is not positive and finite")
         return GridState2D(self.axis1, self.axis2, self.amps / n, self.rep, self.hbar)
 
-    def expectation(self, fn) -> float:
-        """Mean of fn(x1, x2) under |psi|^2 (normalized internally)."""
-        x1 = self.axis1.points()[:, None]
-        x2 = self.axis2.points()[None, :]
-        w = np.abs(self.amps) ** 2
-        total = float(np.sum(w))
-        if total <= 0:
-            raise NonNormalizable("state has zero weight")
-        return float(np.sum(fn(x1, x2) * w) / total)
-
-    @staticmethod
-    def from_function(axis1, axis2, fn, rep, hbar) -> "GridState2D":
-        """Evaluate fn on the tensor grid and normalize."""
-        x1 = axis1.points()[:, None]
-        x2 = axis2.points()[None, :]
-        state = GridState2D(axis1, axis2, np.asarray(fn(x1, x2), dtype=complex), rep, hbar)
-        return state.normalized()
-
 
 def gaussian_profile(center: float = 0.0, width: float = 1.0):
     """Amplitude Gaussian whose |.|^2 density has standard deviation width."""

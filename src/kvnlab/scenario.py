@@ -9,6 +9,7 @@ rejected at every level so typos fail loudly before any computation runs.
 from __future__ import annotations
 
 import json
+import math
 
 from .errors import ScenarioError
 
@@ -150,8 +151,10 @@ def validate_scenario(obj) -> dict:
     the first error found.
 
     The schema cannot say that a number is finite (json.load accepts NaN
-    and Infinity) or that a grid count is a power of two, which the
-    split-step grids need; both are checked here, before any check runs."""
+    and Infinity), that a grid count is a power of two, which the
+    split-step grids need, or that exp(beta) is a positive finite float, the
+    scale factor of every similarity map; all are checked here, before any
+    check runs."""
     error = next(_errors(SCHEMA, obj), None)
     if error is not None:
         raise ScenarioError(f"scenario invalid: {error}")
@@ -162,6 +165,14 @@ def validate_scenario(obj) -> dict:
     count = obj.get("grid", {}).get("count", DEFAULT_GRID["count"])
     if count & (count - 1):
         raise ScenarioError(f"scenario invalid: grid count {count!r} is not a power of two")
+    beta = obj.get("lms", {}).get("beta", 0.0)
+    try:
+        alpha = math.exp(beta)
+    except OverflowError:
+        alpha = math.inf
+    if not 0.0 < alpha < math.inf:
+        raise ScenarioError(f"scenario invalid: lms beta {beta!r}: exp(beta) is not a positive "
+                            "finite float")
     return obj
 
 

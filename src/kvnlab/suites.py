@@ -13,6 +13,7 @@ meaningful coverage out of the box.
 
 from __future__ import annotations
 
+import functools
 import importlib
 import json
 import math
@@ -114,21 +115,20 @@ class SuiteContext:
 
     def trajectory(self, pot: MonomialPotential, x0: ExtendedPoint, periods: float):
         """Sample ``periods`` characteristic periods of the orbit through x0
-        from its one cached run, (period, reach, steps), which the period probe
-        starts; a longer horizon resumes it, replacing the entry only on success."""
+        from its one cached run, (period, steps), which the period probe
+        starts. A horizon past the end of the last step, clipped or not,
+        reruns the run from that step on, replacing the entry only on success."""
         from .dynamics import ExtendedTrajectory, _probe, sample_steps, taylor_steps
 
         orbit = (pot.g, pot.n, x0.q, x0.p, x0.lq, x0.lp)
         if orbit not in self._traj_cache:
-            period, steps = _probe(pot, x0)
-            self._traj_cache[orbit] = (period, steps[-1][0] + steps[-1][1] if steps else 0.0, steps)
-        period, reach, steps = self._traj_cache[orbit]
+            self._traj_cache[orbit] = _probe(pot, x0)
+        period, steps = self._traj_cache[orbit]
         horizon = periods * period
-        if horizon > reach:
-            # only the last step can be clipped at the old reach: rerun it
+        if not steps or horizon > steps[-1][0] + steps[-1][1]:
             t, y = (steps[-1][0], steps[-1][2][0]) if steps else (0.0, x0.as_array())
             steps = steps[:-1] + list(taylor_steps(pot, y, horizon, t=t))
-            self._traj_cache[orbit] = (period, horizon, steps)
+            self._traj_cache[orbit] = (period, steps)
         return ExtendedTrajectory(*sample_steps(pot, steps, horizon, horizon / SAMPLES))
 
     def emit_csv(self, name: str, header, rows):
@@ -569,15 +569,16 @@ def suite_quantum_leak(ctx: SuiteContext):
 
     pot = _grid_potential(ctx)
     grid = ctx.scenario["grid"]
-    # The input state of all three checks and of schmidt_vs_alpha.csv.
-    state = _grid_state(ctx)
+    # The input state of all three checks and of schmidt_vs_alpha.csv. Each
+    # check builds it until one succeeds, so a failed build errs in each.
+    state = functools.cache(lambda: _grid_state(ctx))
 
     with ctx.check(
         "qg-unitary", "split-evolution-unitary",
         {"potential": {"g": pot.g, "n": pot.n}, "grid": grid, "t": 2.0, "steps": 400},
         1e-10,
     ) as out:
-        evolved = qgrid.evolve_G(state, pot, 2.0, steps=400)
+        evolved = qgrid.evolve_G(state(), pot, 2.0, steps=400)
         norm_dev = abs(evolved.norm() - 1.0)
         out.measured, out.passed = {"norm_deviation": norm_dev}, norm_dev < out.tolerance
 
@@ -586,7 +587,7 @@ def suite_quantum_leak(ctx: SuiteContext):
         {"potential": {"g": pot.g, "n": pot.n}, "grid": grid, "t": 5.0},
         ctx.tol("schmidt_separable"),
     ) as out:
-        longrun = qgrid.evolve_G(state, pot, 5.0, steps=600)
+        longrun = qgrid.evolve_G(state(), pot, 5.0, steps=600)
         sep_ratio = qgrid.schmidt(longrun).ratio
         out.measured, out.passed = {"schmidt_ratio": sep_ratio}, sep_ratio < out.tolerance
 
@@ -594,14 +595,14 @@ def suite_quantum_leak(ctx: SuiteContext):
         "qg-lms-entangles", "similarity-breaks-products",
         {"grid": grid, "alpha": 0.5}, ctx.tol("schmidt_mixed"),
     ) as out:
-        mixed = qgrid.schmidt(qgrid.apply_lms_unitary_harmonic(state, 0.5))
+        mixed = qgrid.schmidt(qgrid.apply_lms_unitary_harmonic(state(), 0.5))
         out.measured, out.passed = {"schmidt_ratio": mixed.ratio}, mixed.ratio > out.tolerance
         rows = []
         for alpha in (0.1, 0.2, 0.3, 0.4, 0.5):
             if alpha == 0.5:
                 spec = mixed
             else:
-                spec = qgrid.schmidt(qgrid.apply_lms_unitary_harmonic(state, alpha))
+                spec = qgrid.schmidt(qgrid.apply_lms_unitary_harmonic(state(), alpha))
             s = spec.values
             rows.append((alpha, float(s[0]), float(s[1]), spec.ratio))
         ctx.emit_csv("schmidt_vs_alpha.csv", ("alpha", "s1", "s2", "ratio"), rows)

@@ -84,6 +84,13 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError):
             validate_scenario(bad)
 
+    def test_beta_must_give_a_positive_finite_alpha(self):
+        # exp(710) overflows a double and exp(-746) underflows to 0
+        validate_scenario(dict(BASIC, lms={"beta": 709}))
+        for beta in (710, -746):
+            with pytest.raises(ScenarioError, match=f"lms beta {beta}: exp"):
+                validate_scenario(dict(BASIC, lms={"beta": beta}))
+
 
 #: Scenarios the tests, demos and benchmark run, and one with every section.
 ACCEPTED = [
@@ -197,9 +204,11 @@ class TestExitCodes:
         (dict(BASIC, tolerances={"charge_drift": float("nan")}), []),
         (dict(BASIC, suite="charges", potential={"g": 1.0, "n": 4.0}, seed=3.0), []),
         (dict(BASIC, suite="quantum-leak", grid={"count": 128.0}), []),
+        (dict(BASIC, suite="all", potential={"g": 1, "n": 4}, lms={"beta": 800}), []),
+        (dict(BASIC, suite="bohr", potential={"g": 1, "n": 4}, lms={"beta": -1e6}), []),
     ], ids=["grid-count-not-power-of-two", "alpha-with-beta", "negative-seed-override",
             "nan-coupling", "nan-hbar", "infinite-alpha", "nan-tolerance", "float-seed",
-            "float-grid-count"])
+            "float-grid-count", "overflowing-beta", "underflowing-beta"])
     def test_rejected_before_any_check_is_two(self, tmp_path, capsys, body, extra):
         sc = write_scenario(tmp_path, body)
         proc = run_main(["run", str(sc), "--out", str(tmp_path / "rep"), *extra], capsys)
@@ -441,6 +450,15 @@ class TestCheckExecutor:
                    for m in errors.values())
         assert others == {"dyn-harmonic-return": "pass"}
 
+    @pytest.mark.parametrize("extent", [1e-300, 1e300])
+    def test_an_unnormalisable_grid_state_is_an_error_in_a_written_report(
+            self, tmp_path, capsys, extent):
+        errors, others = self.run_errored(tmp_path, capsys, "quantum-leak", 1.0, 4.0,
+                                          grid={"extent": extent})
+        assert sorted(errors) == ["qg-lms-entangles", "qg-separability", "qg-unitary"]
+        assert all(m.startswith("NonNormalizable: norm ") for m in errors.values())
+        assert others == {}
+
     def test_overflowing_levels_are_an_error_in_a_written_report(self, tmp_path, capsys):
         # at hbar = 1e308 every quantized energy overflows; the report must
         # still be written, so no level may reach it as a non-finite float
@@ -516,8 +534,8 @@ class TestOrbitCache:
         assert np.array_equal(traj.times, fresh.times)
         assert np.array_equal(traj.states, fresh.states)
 
-    # at n = 1 the probe's one step is clipped at its horizon of 20, so it
-    # leaves no steps, and ten periods end exactly there
+    # at n = 1 the probe's one step is clipped at its horizon of 20, and it
+    # leaves that step; ten periods end exactly there
     @pytest.mark.parametrize("n", [4.0, -2.0, 3.0, 1.0])
     def test_every_horizon_equals_a_fresh_run(self, tmp_path, n):
         ctx = SuiteContext(scenario={}, out_dir=str(tmp_path), seed=0)
@@ -546,7 +564,8 @@ class TestOrbitCache:
         # single-lane Taylor steps of the README run: 1,042 with one
         # integration per (orbit, horizon), 770 with one per orbit, 677 with
         # the period probe's steps as the orbit's first and one mass-1
-        # reference for the three Newton-equivalent gammas
+        # reference for the three Newton-equivalent gammas, 675 with the
+        # probe's step clipped at its horizon kept as the orbit's last
         lanes = []
         coefficients = dynamics._coefficients
 
@@ -559,4 +578,4 @@ class TestOrbitCache:
         sc = write_scenario(tmp_path, README_SCENARIO)
         proc = run_main(["run", str(sc), "--out", str(tmp_path / "rep")], capsys)
         assert proc.returncode == 0, proc.stderr
-        assert sum(lanes) <= 677
+        assert sum(lanes) <= 675

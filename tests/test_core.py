@@ -183,6 +183,13 @@ class TestLmsParams:
         with pytest.raises(UndefinedError):
             lms_params_from_alpha(-1.3, 4.0)
 
+    def test_beta_must_give_a_positive_finite_alpha(self):
+        # exp(710) overflows a double and exp(-746) underflows to 0
+        assert lms_params_from_beta(709.0, 4.0).alpha == math.exp(709.0)
+        for beta in (710.0, -746.0):
+            with pytest.raises(UndefinedError, match="beta"):
+                lms_params_from_beta(beta, 4.0)
+
     def test_inverse_square_time_power(self):
         # time rescales by alpha^(1 - n/2); n=-2 gives alpha^2
         prm = lms_params_from_alpha(4.0, -2.0)

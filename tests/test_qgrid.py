@@ -44,11 +44,21 @@ def _qp_gaussian(q0=0.4, p0=-0.3, sq=0.8, sp_=0.5, count=128, extent=6.0):
     )
 
 
-def _entangled(axis1, axis2, hbar=0.5):
-    def prof(x1, x2):
-        return np.exp(-(x1**2 + x2**2) / 4.0 - 0.3 * x1 * x2 + 0.7j * x1)
+def _grid(axis1, axis2):
+    """The tensor grid's coordinates (x1, x2), broadcast against each other."""
+    return axis1.points()[:, None], axis2.points()[None, :]
 
-    state = GridState2D.from_function(axis1, axis2, prof, REP_QQBAR, hbar)
+
+def _mean(state, fn):
+    """Mean of fn(x1, x2) under |psi|^2."""
+    w = np.abs(state.amps) ** 2
+    return float(np.sum(fn(*_grid(state.axis1, state.axis2)) * w) / np.sum(w))
+
+
+def _entangled(axis1, axis2, hbar=0.5):
+    x1, x2 = _grid(axis1, axis2)
+    amps = np.exp(-(x1**2 + x2**2) / 4.0 - 0.3 * x1 * x2 + 0.7j * x1)
+    state = GridState2D(axis1, axis2, amps, REP_QQBAR, hbar).normalized()
     assert schmidt(state).ratio > 0.1
     return state
 
@@ -176,11 +186,6 @@ class TestGridState:
         var = np.sum(ax.points() ** 2 * w) / np.sum(w)
         assert math.sqrt(var) == pytest.approx(1.3, rel=1e-6)
 
-    def test_expectation_of_coordinates(self):
-        state = _qp_gaussian(q0=0.4, p0=-0.3)
-        assert state.expectation(lambda x1, x2: x1) == pytest.approx(0.4, abs=1e-9)
-        assert state.expectation(lambda x1, x2: x2) == pytest.approx(-0.3, abs=1e-9)
-
     def test_hbar_must_be_finite_and_positive(self):
         ax = GridAxis(0.0, 4.0, 8)
         for hbar in (0.0, -1.0, math.nan, math.inf):
@@ -274,10 +279,9 @@ class TestLiouvilleTransport:
         from scipy.interpolate import RectBivariateSpline
 
         ax = GridAxis(0.0, 6.0, 128)
-        state = GridState2D.from_function(
-            ax, ax, lambda q, p: np.exp(-(q - 0.4) ** 2 / 2.56 - (p + 0.3) ** 2 + 0.7j * q),
-            REP_QP, 1.0,
-        )
+        q, p = _grid(ax, ax)
+        amps = np.exp(-(q - 0.4) ** 2 / 2.56 - (p + 0.3) ** 2 + 0.7j * q)
+        state = GridState2D(ax, ax, amps, REP_QP, 1.0).normalized()
         x = ax.points()
         pts1, pts2 = np.random.default_rng(5).uniform(x[8], x[-9], (2, 4000))
         want = sum(
@@ -445,10 +449,10 @@ class TestClassicalLimit:
                 - 1j * p0 * diff / hbar
             )
 
-        state = GridState2D.from_function(ax, ax, prof, REP_QQBAR, hbar)
+        state = GridState2D(ax, ax, prof(*_grid(ax, ax)), REP_QQBAR, hbar).normalized()
         for t in (1.0, 2.5):
             out = evolve_G(state, HARMONIC, t, steps=500)
-            mean_q = out.expectation(lambda x1, x2: 0.5 * (x1 + x2))
+            mean_q = _mean(out, lambda x1, x2: 0.5 * (x1 + x2))
             target = q0 * math.cos(t) + p0 * math.sin(t)
             assert abs(mean_q - target) < 1e-3, t
 
@@ -461,9 +465,9 @@ class TestClassicalLimit:
             diff = x2 - x1
             return np.exp(-(mid**2) / (4.0 * 0.7**2) - 0.45**2 * diff**2 / (4.0 * hbar**2))
 
-        state = GridState2D.from_function(ax, ax, prof, REP_QQBAR, hbar)
-        mean_q = state.expectation(lambda x1, x2: 0.5 * (x1 + x2))
-        var_q = state.expectation(lambda x1, x2: (0.5 * (x1 + x2) - 0.8) ** 2)
+        state = GridState2D(ax, ax, prof(*_grid(ax, ax)), REP_QQBAR, hbar).normalized()
+        mean_q = _mean(state, lambda x1, x2: 0.5 * (x1 + x2))
+        var_q = _mean(state, lambda x1, x2: (0.5 * (x1 + x2) - 0.8) ** 2)
         assert mean_q == pytest.approx(0.8, abs=1e-9)
         assert math.sqrt(var_q) == pytest.approx(0.7, rel=1e-3)
 
