@@ -18,7 +18,11 @@ J.C.P. Miller's power rule gives them for every other n, where the domain
 q > 0 keeps q_0 away from zero. Each step's size comes from the last two
 coefficients (Jorba & Zou, Exp. Math. 14 (2005) 99), and the step's own
 polynomial gives the output samples and locates events, so samples cost no
-extra steps. The kernel holds the one domain guard: where V is defined on
+extra steps. A run builds its recurrence plan once: one coefficient buffer
+and every view of it that an order reads or writes, so no order slices an
+array. The sampler gathers the coefficients of every sample's step once,
+laid out as (order, row, sample), and runs Horner's rule along the
+samples. The kernel holds the one domain guard: where V is defined on
 q > 0 only, a start below RMIN raises DomainError, and a position below
 RMIN at a step end or a sample raises SingularityAbort. A step size that
 collapses to roundoff, or a series that overflows, is a finite-time
@@ -100,8 +104,12 @@ def _miller_weights(n: float, order: int) -> np.ndarray:
     return ((n - 1.0) * np.arange(1, order) - k) / k
 
 
-def _coefficients(pot: MonomialPotential, y, order: int, mass: float):
-    """Taylor coefficients c[k] of the solution through y, c[0] = y.
+def _recurrence(pot: MonomialPotential, y, order: int, mass: float):
+    """One run's recurrence plan: a coefficient buffer c for states shaped
+    like y, and every view of it that the recurrence reads or writes, built
+    once. Returns fill(y), which writes the Taylor coefficients c[k] of the
+    solution through y into c, c[0] = y, and returns c; the next call
+    overwrites them.
 
     y holds the rows q, p and, with four rows, lq, lp; a trailing axis
     holds lanes. The system is dq/dt = p / mass, dp/dt = -mass V'(q), and
@@ -110,41 +118,64 @@ def _coefficients(pot: MonomialPotential, y, order: int, mass: float):
     (-mass g, g (n-1)) times (q, lp) u, so one sum per order gives both."""
     g, n = pot.g, pot.n
     c = np.empty((order + 1,) + y.shape)
-    c[0] = y
     q, pair = c[:, 0], len(y) // 2
     lanes = (1,) * (y.ndim - 1)
     per_order = np.arange(1.0, order + 1).reshape((order, 1) + lanes)
     drift = np.array([1.0 / mass, -1.0])[:pair].reshape((pair,) + lanes) / per_order
     kick = np.array([-mass * g, g * (n - 1.0)])[:pair].reshape((pair,) + lanes) / per_order
-    # sums over the first axis of a * b: the coefficient sums of the recurrence
-    dot = np.dot if y.ndim == 1 else _lane_dot
-    integral = _is_positive_integer(n)
+    # order k writes row k + 1: (q, lp) from (p, lq) of row k, (p, lq) from the sum
+    moves = [(c[k, 1:3], drift[k], c[k + 1, ::3], kick[k], c[k + 1, 1:3]) for k in range(order)]
     if n == 1.0:
         # V' = g is constant and V'' = 0: (q, lp) u is 1, 0, 0, ...
         unit = np.zeros((order,) + c[0, ::3].shape)
         unit[0] = 1.0
-    elif integral:
+
+        def fill(y):
+            c[0] = y
+            for (src, d, dst, kk, out), forced in zip(moves, unit):
+                np.multiply(src, d, out=dst)
+                np.multiply(forced, kk, out=out)
+            return c
+
+        return fill
+    # sums over the first axis of a * b: the coefficient sums of the recurrence;
+    # the method is np.dot without its dispatch
+    dot = np.ndarray.dot if y.ndim == 1 else _lane_dot
+    integral = _is_positive_integer(n)
+    if integral:
         # powers[j] = q^j by Cauchy products, up to u = q^(n-2); q^0 = 1
         powers = [np.zeros_like(q), q] + [np.empty_like(q) for _ in range(int(n) - 3)]
         powers[0][0] = 1.0
         u = powers[int(n) - 2]
+        rules = [[(powers[j], q[:k + 1], powers[j - 1][k::-1]) for j in range(2, len(powers))]
+                 for k in range(order)]
     else:
+        # Miller's rule: u[k] = sum_j w_kj q[j] u[k-j] / q[0], u[0] = q[0]^(n-2)
         u = np.empty_like(q)
-        u[0] = q[0] ** (n - 2.0)
         weights = _miller_weights(n, order)
-    for k in range(order):
-        if n == 1.0:
-            forced = unit[k]
-        else:
+        terms = np.empty_like(q)
+        rules = [None] + [(weights[k - 1, :k], q[1:k + 1], u[k - 1::-1], terms[:k])
+                          for k in range(1, order)]
+    plan = [(k, rules[k], u[k::-1], c[:k + 1, ::3]) + moves[k] for k in range(order)]
+
+    def fill(y):
+        c[0] = y
+        q0 = q[0]
+        if not integral:
+            u[0] = q0 ** (n - 2.0)
+        for k, rule, ur, head, src, d, dst, kk, out in plan:
             if integral:
-                for j in range(2, len(powers)):
-                    powers[j][k] = dot(q[:k + 1], powers[j - 1][k::-1])
+                for power, a, b in rule:
+                    power[k] = dot(a, b)
             elif k:
-                u[k] = np.dot(weights[k - 1, :k], q[1:k + 1] * u[k - 1::-1]) / q[0]
-            forced = dot(u[k::-1], c[:k + 1, ::3])
-        c[k + 1, ::3] = c[k, 1:3] * drift[k]
-        c[k + 1, 1:3] = forced * kick[k]
-    return c
+                w, qk, uk, tk = rule
+                u[k] = w.dot(np.multiply(qk, uk, out=tk)) / q0
+            forced = dot(ur, head)
+            np.multiply(src, d, out=dst)
+            np.multiply(forced, kk, out=out)
+        return c
+
+    return fill
 
 
 def _step_sizes(c):
@@ -171,18 +202,21 @@ def taylor_steps(pot: MonomialPotential, y0, T: float, mass: float = 1.0, t: flo
     """Advance y0 from time t to T (either direction), one Taylor step at a time.
 
     Yields (t, h, c, y) per step: its start, its signed size, its
-    coefficients and the state at its end. Only the last step depends on
-    T, which it ends at exactly, so a run resumed from the start (t, c[0])
-    of its last step, with that t, yields the steps of one longer run. All
-    lanes of y0 share every step, of order BATCH_ORDER when y0 has a lane
-    axis and ORDER otherwise. Raises DomainError for a start outside the
-    domain or, where the potential is guarded, below RMIN, SingularityAbort
-    when a position of a guarded potential ends a step below RMIN, and
-    when the step size falls to roundoff (or the series stops being
-    finite) raises SingularityAbort if the steepest lane moves toward a
-    singular origin, else StepFailure. A non-finite T raises ValueError:
-    the loop would never reach it, and so does an integer exponent above
-    MAX_INTEGER_N."""
+    coefficients and the state at its end. The run builds one recurrence
+    plan, a coefficient buffer with every view the recurrence reads or
+    writes, and fills it once per step; each step yields its own copy of
+    the buffer, so the steps a caller keeps stay valid. Only the last step
+    depends on T, which it ends at exactly, so a run resumed from the start
+    (t, c[0]) of its last step, with that t, yields the steps of one longer
+    run. All lanes of y0 share every step, of order BATCH_ORDER when y0 has
+    a lane axis and ORDER otherwise. Raises DomainError for a start outside
+    the domain or, where the potential is guarded, below RMIN,
+    SingularityAbort when a position of a guarded potential ends a step
+    below RMIN, and when the step size falls to roundoff (or the series
+    stops being finite) raises SingularityAbort if the steepest lane moves
+    toward a singular origin, else StepFailure. A non-finite T raises
+    ValueError: the loop would never reach it, and so does an integer
+    exponent above MAX_INTEGER_N."""
     if not math.isfinite(T):
         raise ValueError(f"horizon T must be finite, got {T!r}")
     if _is_positive_integer(pot.n) and pot.n > MAX_INTEGER_N:
@@ -194,9 +228,10 @@ def taylor_steps(pot: MonomialPotential, y0, T: float, mass: float = 1.0, t: flo
     if not np.all(pot.admissible(y[0])) or (guarded and np.min(y[0]) < RMIN):
         raise DomainError(f"initial q={float(np.min(y[0]))!r} outside the potential "
                           f"domain or guard radius {RMIN!r}")
+    fill = _recurrence(pot, y, order, mass)
     while t != T:
         with np.errstate(over="ignore", invalid="ignore"):
-            c = _coefficients(pot, y, order, mass)
+            c = fill(y)
         sizes = _step_sizes(c)
         lane = int(np.argmin(sizes))
         h = math.copysign(min(float(sizes[lane]), abs(T - t)), T - t)
@@ -211,30 +246,34 @@ def taylor_steps(pot: MonomialPotential, y0, T: float, mass: float = 1.0, t: flo
         y = _poly(c, h)
         if guarded and np.min(y[0]) < RMIN:
             raise SingularityAbort(f"trajectory entered the guard radius near t={t + h!r}")
-        yield t, h, c, y
+        yield t, h, c.copy(), y
         t = T if last else t + h
 
 
 def sample_steps(pot: MonomialPotential, steps, T: float, dt: float):
     """Sample a taylor_steps run from t = 0 to T, or beyond (only its last
     step depends on its end), on the grid sample_times(T, dt). Returns the
-    times and the states there, one row per sample, evaluated on the
-    polynomial of the step that holds each sample."""
+    times and the states there, a fresh (sample, row) array, evaluated on
+    the polynomial of the step that holds each sample. The coefficients of
+    each sample's step are gathered once, as (order, row, sample), and
+    Horner's rule runs on them in place along the samples."""
     if T == 0:
         raise ValueError("horizon T must be nonzero")
     times = sample_times(T, dt)
     starts, _, coeffs, _ = zip(*steps)
     sign = math.copysign(1.0, T)
     step = np.searchsorted(sign * np.array(starts), sign * times, side="right") - 1
-    tau = (times - np.array(starts)[step])[:, None]
-    # Horner's rule on every sample at once, one order at a time
-    coeffs = np.array(coeffs)
-    states = coeffs[step, -1]
-    for k in range(coeffs.shape[1] - 2, -1, -1):
-        states = states * tau + coeffs[step, k]
-    if _guarded(pot) and states[:, 0].min() < RMIN:
+    tau = times - np.array(starts)[step]
+    # each sample's step coefficients as (order, row, sample), so that
+    # Horner's rule runs along contiguous samples, one order at a time
+    coeffs = np.take(np.array(coeffs).transpose(1, 2, 0), step, axis=-1)
+    states = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        states *= tau
+        states += c
+    if _guarded(pot) and states[0].min() < RMIN:
         raise SingularityAbort("trajectory entered the guard radius between step ends")
-    return times, states
+    return times, states.T.copy()
 
 
 def sample_times(T: float, dt: float) -> np.ndarray:

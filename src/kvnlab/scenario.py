@@ -146,22 +146,38 @@ def _errors(schema: dict, value):
                 yield f"{value!r} is less than or equal to the minimum of {arg!r}"
 
 
+def _numbers(value, key: str):
+    """Yield (key, number) for every number nested in value, each key a
+    path such as lms.alpha or exponents[2]."""
+    if isinstance(value, dict):
+        for name, item in value.items():
+            yield from _numbers(item, f"{key}.{name}" if key else name)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _numbers(item, f"{key}[{i}]")
+    elif _is_number(value):
+        yield key, value
+
+
 def validate_scenario(obj) -> dict:
     """Check a parsed scenario against SCHEMA; ScenarioError on failure, with
     the first error found.
 
-    The schema cannot say that a number is finite (json.load accepts NaN
-    and Infinity), that a grid count is a power of two, which the
-    split-step grids need, or that exp(beta) is a positive finite float, the
-    scale factor of every similarity map; all are checked here, before any
-    check runs."""
+    The schema cannot say that a number converts to a finite float
+    (json.load accepts NaN, Infinity and integers of any size), that a grid
+    count is a power of two, which the split-step grids need, or that
+    exp(beta) is a positive finite float, the scale factor of every
+    similarity map; all are checked here, before any check runs."""
     error = next(_errors(SCHEMA, obj), None)
     if error is not None:
         raise ScenarioError(f"scenario invalid: {error}")
-    try:
-        json.dumps(obj, allow_nan=False)
-    except ValueError as exc:
-        raise ScenarioError(f"scenario invalid: numbers must be finite ({exc})") from exc
+    for key, value in _numbers(obj, ""):
+        try:
+            finite = math.isfinite(value)  # an int too large for a double overflows here
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ScenarioError(f"scenario invalid: {key} does not convert to a finite float")
     count = obj.get("grid", {}).get("count", DEFAULT_GRID["count"])
     if count & (count - 1):
         raise ScenarioError(f"scenario invalid: grid count {count!r} is not a power of two")

@@ -115,21 +115,28 @@ class SuiteContext:
 
     def trajectory(self, pot: MonomialPotential, x0: ExtendedPoint, periods: float):
         """Sample ``periods`` characteristic periods of the orbit through x0
-        from its one cached run, (period, steps), which the period probe
-        starts. A horizon past the end of the last step, clipped or not,
-        reruns the run from that step on, replacing the entry only on success."""
+        from its one cached run, (period, steps, sampled), which the period
+        probe starts. A horizon past the end of the last step, clipped or
+        not, reruns the run from that step on, replacing the entry only on
+        success. Each number of periods is sampled once per orbit: a repeat
+        returns the same trajectory, whose arrays are read-only, so no
+        check can change what another reads."""
         from .dynamics import ExtendedTrajectory, _probe, sample_steps, taylor_steps
 
         orbit = (pot.g, pot.n, x0.q, x0.p, x0.lq, x0.lp)
         if orbit not in self._traj_cache:
-            self._traj_cache[orbit] = _probe(pot, x0)
-        period, steps = self._traj_cache[orbit]
-        horizon = periods * period
-        if not steps or horizon > steps[-1][0] + steps[-1][1]:
-            t, y = (steps[-1][0], steps[-1][2][0]) if steps else (0.0, x0.as_array())
-            steps = steps[:-1] + list(taylor_steps(pot, y, horizon, t=t))
-            self._traj_cache[orbit] = (period, steps)
-        return ExtendedTrajectory(*sample_steps(pot, steps, horizon, horizon / SAMPLES))
+            self._traj_cache[orbit] = (*_probe(pot, x0), {})
+        period, steps, sampled = self._traj_cache[orbit]
+        if periods not in sampled:
+            horizon = periods * period
+            if not steps or horizon > steps[-1][0] + steps[-1][1]:
+                t, y = (steps[-1][0], steps[-1][2][0]) if steps else (0.0, x0.as_array())
+                steps = steps[:-1] + list(taylor_steps(pot, y, horizon, t=t))
+                self._traj_cache[orbit] = (period, steps, sampled)
+            times, states = sample_steps(pot, steps, horizon, horizon / SAMPLES)
+            times.flags.writeable = states.flags.writeable = False
+            sampled[periods] = ExtendedTrajectory(times, states)
+        return sampled[periods]
 
     def emit_csv(self, name: str, header, rows):
         write_csv(os.path.join(self.out_dir, name), header, rows)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import re
 import subprocess
 from pathlib import Path
@@ -90,6 +91,21 @@ class TestScenarioValidation:
         for beta in (710, -746):
             with pytest.raises(ScenarioError, match=f"lms beta {beta}: exp"):
                 validate_scenario(dict(BASIC, lms={"beta": beta}))
+
+    @pytest.mark.parametrize("body, key", [
+        (dict(BASIC, lms={"alpha": 10**400}), "lms.alpha"),
+        (dict(BASIC, potential={"g": 1.0, "n": -10**400}), "potential.n"),
+        (dict(BASIC, exponents=[1.0, 10**400]), "exponents[1]"),
+        (dict(BASIC, tolerances={"charge_drift": math.inf}), "tolerances.charge_drift"),
+        (dict(BASIC, seed=10**400), "seed"),
+    ])
+    def test_every_number_must_convert_to_a_finite_float(self, body, key):
+        # json reads integers of any size; the message names the key, not
+        # the 401-digit value
+        message = f"scenario invalid: {key} does not convert to a finite float"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            validate_scenario(body)
+        validate_scenario(dict(BASIC, seed=2**64, lms={"alpha": 10**300}))
 
 
 #: Scenarios the tests, demos and benchmark run, and one with every section.
@@ -206,9 +222,14 @@ class TestExitCodes:
         (dict(BASIC, suite="quantum-leak", grid={"count": 128.0}), []),
         (dict(BASIC, suite="all", potential={"g": 1, "n": 4}, lms={"beta": 800}), []),
         (dict(BASIC, suite="bohr", potential={"g": 1, "n": 4}, lms={"beta": -1e6}), []),
+        # integers that json accepts and no double holds
+        (dict(BASIC, suite="bohr", potential={"g": 1, "n": 4}, lms={"alpha": 10**400}), []),
+        (dict(BASIC, potential={"g": 10**400, "n": 4}), []),
+        (dict(BASIC, suite="quantum-leak", grid={"extent": 10**400}), []),
     ], ids=["grid-count-not-power-of-two", "alpha-with-beta", "negative-seed-override",
             "nan-coupling", "nan-hbar", "infinite-alpha", "nan-tolerance", "float-seed",
-            "float-grid-count", "overflowing-beta", "underflowing-beta"])
+            "float-grid-count", "overflowing-beta", "underflowing-beta", "huge-int-alpha",
+            "huge-int-coupling", "huge-int-extent"])
     def test_rejected_before_any_check_is_two(self, tmp_path, capsys, body, extra):
         sc = write_scenario(tmp_path, body)
         proc = run_main(["run", str(sc), "--out", str(tmp_path / "rep"), *extra], capsys)
@@ -565,17 +586,44 @@ class TestOrbitCache:
         # integration per (orbit, horizon), 770 with one per orbit, 677 with
         # the period probe's steps as the orbit's first and one mass-1
         # reference for the three Newton-equivalent gammas, 675 with the
-        # probe's step clipped at its horizon kept as the orbit's last
+        # probe's step clipped at its horizon kept as the orbit's last. A
+        # run builds one recurrence plan and fills it once per step.
         lanes = []
-        coefficients = dynamics._coefficients
+        recurrence = dynamics._recurrence
 
         def counted(pot, y, order, mass):
-            lanes.append(y.ndim == 1)
-            return coefficients(pot, y, order, mass)
+            fill = recurrence(pot, y, order, mass)
 
-        monkeypatch.setattr(dynamics, "_coefficients", counted)
+            def counted_fill(y):
+                lanes.append(y.ndim == 1)
+                return fill(y)
+
+            return counted_fill
+
+        monkeypatch.setattr(dynamics, "_recurrence", counted)
         semiclassics._newton_equiv_run.cache_clear()
         sc = write_scenario(tmp_path, README_SCENARIO)
         proc = run_main(["run", str(sc), "--out", str(tmp_path / "rep")], capsys)
         assert proc.returncode == 0, proc.stderr
-        assert sum(lanes) <= 675
+        assert 0 < sum(lanes) <= 675
+
+    def test_a_repeat_returns_the_same_read_only_samples(self, tmp_path):
+        # each (orbit, periods) is sampled once; a longer horizon in between
+        # reruns the run's last step and leaves the stored samples as they are
+        ctx = SuiteContext(scenario={}, out_dir=str(tmp_path), seed=0)
+        pot = MonomialPotential(FIXTURES[4.0][0], 4.0)
+        x0 = _start(pot)
+        first = ctx.trajectory(pot, x0, 1.3)
+        longest = ctx.trajectory(pot, x0, 20.0)
+        again = ctx.trajectory(pot, x0, 1.3)
+        assert again.states is first.states
+        for a, b in ((first.times, again.times), (first.states, again.states)):
+            assert np.array_equal(a, b)
+            assert not b.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                b[0] = 0.0
+        # the samples own their memory: no gathered block of every order's
+        # coefficients stays alive behind them
+        for traj in (first, longest):
+            base = traj.states.base
+            assert base is None or base.nbytes == traj.states.nbytes

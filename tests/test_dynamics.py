@@ -8,15 +8,20 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from kvnlab.core import ExtendedPoint, MonomialPotential
+from kvnlab.core import ExtendedPoint, MonomialPotential, _is_positive_integer
 from kvnlab.dynamics import (
+    BATCH_ORDER,
     BLOCK,
     MAX_INTEGER_N,
+    ORDER,
     RMIN,
-    _coefficients,
+    _lane_dot,
+    _miller_weights,
+    _recurrence,
     characteristic_time,
     flow_map_batch,
     integrate,
+    sample_steps,
     sample_times,
     taylor_steps,
 )
@@ -38,7 +43,109 @@ def test_kernel_rhs_is_the_force_law(g, n, y, mass):
     y = np.array(y)
     v1, v2 = pot.derivs(y[0])
     want = [y[1] / mass, -mass * v1] + ([y[3] * v2, -y[2]] if len(y) == 4 else [])
-    np.testing.assert_allclose(_coefficients(pot, y, 1, mass)[1], want, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(_recurrence(pot, y, 1, mass)(y)[1], want, rtol=1e-15, atol=0)
+
+
+def reference_coefficients(pot, y, order, mass):
+    """The Taylor recurrence with every operand sliced afresh on every
+    order, in a new buffer per call, as the kernel ran it before it built
+    one plan per run: the oracle that plan must equal bit for bit."""
+    g, n = pot.g, pot.n
+    c = np.empty((order + 1,) + y.shape)
+    c[0] = y
+    q, pair = c[:, 0], len(y) // 2
+    lanes = (1,) * (y.ndim - 1)
+    per_order = np.arange(1.0, order + 1).reshape((order, 1) + lanes)
+    drift = np.array([1.0 / mass, -1.0])[:pair].reshape((pair,) + lanes) / per_order
+    kick = np.array([-mass * g, g * (n - 1.0)])[:pair].reshape((pair,) + lanes) / per_order
+    dot = np.dot if y.ndim == 1 else _lane_dot
+    integral = _is_positive_integer(n)
+    if n == 1.0:
+        unit = np.zeros((order,) + c[0, ::3].shape)
+        unit[0] = 1.0
+    elif integral:
+        powers = [np.zeros_like(q), q] + [np.empty_like(q) for _ in range(int(n) - 3)]
+        powers[0][0] = 1.0
+        u = powers[int(n) - 2]
+    else:
+        u = np.empty_like(q)
+        u[0] = q[0] ** (n - 2.0)
+        weights = _miller_weights(n, order)
+    for k in range(order):
+        if n == 1.0:
+            forced = unit[k]
+        else:
+            if integral:
+                for j in range(2, len(powers)):
+                    powers[j][k] = dot(q[:k + 1], powers[j - 1][k::-1])
+            elif k:
+                u[k] = np.dot(weights[k - 1, :k], q[1:k + 1] * u[k - 1::-1]) / q[0]
+            forced = dot(u[k::-1], c[:k + 1, ::3])
+        c[k + 1, ::3] = c[k, 1:3] * drift[k]
+        c[k + 1, 1:3] = forced * kick[k]
+    return c
+
+
+def reference_samples(steps, T, dt):
+    """sample_steps' Horner's rule on (sample, row) arrays, a new one per
+    order, as it ran before it gathered the coefficients along samples."""
+    times = sample_times(T, dt)
+    starts, _, coeffs, _ = zip(*steps)
+    sign = math.copysign(1.0, T)
+    step = np.searchsorted(sign * np.array(starts), sign * times, side="right") - 1
+    tau = (times - np.array(starts)[step])[:, None]
+    coeffs = np.array(coeffs)
+    states = coeffs[step, -1]
+    for k in range(coeffs.shape[1] - 2, -1, -1):
+        states = states * tau + coeffs[step, k]
+    return times, states
+
+
+#: Exponents of every branch of the recurrence: n = 1, the Cauchy products
+#: (n = 2 and 3 build no power) and Miller's rule.
+RECURRENCE_EXPONENTS = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, -2.0, -1.0, 2.5]
+
+
+@pytest.mark.parametrize("n", RECURRENCE_EXPONENTS)
+@pytest.mark.parametrize("shape", [(4,), (2,), (2, 7), (4, 3)])
+@pytest.mark.parametrize("order", [20, 28])
+@pytest.mark.parametrize("mass", [1.0, 1.3])
+def test_the_recurrence_plan_equals_the_per_order_oracle(n, shape, order, mass):
+    # one plan, filled from two states: each fill overwrites the last
+    rng = np.random.default_rng(order)
+    pot = MonomialPotential(1.7, n)
+    fill = _recurrence(pot, np.empty(shape), order, mass)
+    for _ in range(2):
+        y = rng.uniform(-1.0, 1.0, shape)
+        y[0] = rng.uniform(0.5, 2.0, shape[1:])  # q > 0 lies in every domain
+        assert np.array_equal(fill(y), reference_coefficients(pot, y, order, mass))
+
+
+@pytest.mark.parametrize("n", RECURRENCE_EXPONENTS)
+@pytest.mark.parametrize("y0", [(1.2, 0.6, 0.3, -0.2), (1.2, 0.6),
+                                [[1.2, 0.8, 1.5], [0.6, 0.9, 0.7]]],
+                         ids=["extended", "classical", "lanes"])
+def test_every_kept_step_equals_the_per_order_oracle(n, y0):
+    # each step yields its own copy of the run's buffer, so the steps a
+    # caller keeps still hold their coefficients when the run is over
+    pot, y0, mass = MonomialPotential(1.0, n), np.array(y0), 1.3
+    steps = list(taylor_steps(pot, y0, 0.5, mass))
+    order = ORDER if y0.ndim == 1 else BATCH_ORDER
+    for (_, _, c, _), y in zip(steps, [y0] + [y for *_, y in steps]):
+        assert np.array_equal(c, reference_coefficients(pot, y, order, mass))
+
+
+@pytest.mark.parametrize("n", [4.0, -2.0, 1.0])
+def test_samples_equal_the_per_sample_horner_oracle(n):
+    g, ic = FIXTURES[n]
+    pot = MonomialPotential(g, n)
+    T = 1.3 * characteristic_time(pot, ExtendedPoint(*ic))
+    steps = list(taylor_steps(pot, ic, T))
+    times, states = sample_steps(pot, steps, T, T / 2000)
+    want_times, want = reference_samples(steps, T, T / 2000)
+    assert np.array_equal(times, want_times) and np.array_equal(states, want)
+    # one fresh (sample, row) array, not a view of the gathered coefficients
+    assert states.shape == (2001, 4) and states.flags.c_contiguous and states.base is None
 
 
 @pytest.mark.parametrize("n", [-2.0, 2.5])
