@@ -16,6 +16,10 @@ import os
 import sys
 import time
 
+# before numpy loads OpenBLAS: at kvnlab's matrix sizes a second BLAS thread
+# saves no wall time and spins after every call; a caller's value still wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import KvnLabError, ScenarioError
 from .report import digest, write_report
 from .scenario import (

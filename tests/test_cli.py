@@ -21,8 +21,9 @@ from kvnlab.suites import FIXTURES, SuiteContext, _start
 
 @pytest.fixture
 def run_cli(run_python):
-    """Run ``kvnlab`` on ``args`` in a child interpreter, in ``cwd``."""
-    return lambda args, cwd: run_python("-m", "kvnlab.cli", *args, cwd=cwd)
+    """Run ``kvnlab`` on ``args`` in a child interpreter, in ``cwd``, with
+    ``env`` applied to its environment as ``run_python`` does."""
+    return lambda args, cwd, env=None: run_python("-m", "kvnlab.cli", *args, cwd=cwd, env=env)
 
 
 def run_main(args, capsys):
@@ -312,17 +313,20 @@ class TestDeterminism:
         "charges_n1.csv": "2bb72dde886024269a8a188bfe8e518ba39aa0e3f5d554d002ed496e529148bc",
         "charges_n3.csv": "6399c5df3995280eb771538338caf974e6383408dad4a89ef14ba507bbc57add",
         "charges_n4.csv": "6fed1876c0b7831c1ecfbea7983e9ed730b6ede2ba7bc691e33531896a07e499",
-        "schmidt_vs_alpha.csv": "048a1db953cebd835262a67208b3aacc303981c181cd89f88d585443ce2b4d47",
+        "schmidt_vs_alpha.csv": "4edb315b312a346258b4ec038bd63d5fa217f8122c3321a9f4b468b0e6fb86e7",
     }
 
-    def test_readme_report_matches_its_pin(self, tmp_path, capsys):
+    def test_readme_report_matches_its_pin(self, tmp_path, run_cli):
         """The README scenario's report.json, with its wall_time_s line
         removed, is byte for byte tests/data/readme_report.json, and its CSV
-        sidecars hash to README_SIDECARS. A change that moves report values
-        regenerates these pins on purpose, as it does bench/reference.json,
-        and lists every moved value."""
+        sidecars hash to README_SIDECARS. The run is a ``kvnlab run`` child
+        with OPENBLAS_NUM_THREADS unset, so it pins the one-thread bytes a
+        user gets, whatever this process loaded. A change that moves report
+        values regenerates these pins on purpose, as it does
+        bench/reference.json, and lists every moved value."""
         sc = write_scenario(tmp_path, README_SCENARIO)
-        proc = run_main(["run", str(sc), "--out", str(tmp_path / "rep")], capsys)
+        proc = run_cli(["run", str(sc), "--out", "rep"], tmp_path,
+                       env={"OPENBLAS_NUM_THREADS": None})
         assert proc.returncode == 0, proc.stderr
         raw = (tmp_path / "rep" / "report.json").read_bytes()
         pin = Path(__file__).parent / "data" / "readme_report.json"

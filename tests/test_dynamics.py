@@ -394,6 +394,40 @@ class TestIntegrate:
         assert np.allclose(traj.initial.as_array(), x0.as_array())
 
 
+class TestInverseSquareClosedForm:
+    """At n = -2, g = 1, d(qp)/dt = p^2 + q F = 2E, so the orbit obeys
+    q(t)^2 = q0^2 + 2 q0 p0 t + 2E t^2 exactly: an oracle for the kernel
+    that shares nothing with it."""
+
+    POT = MonomialPotential(1.0, -2.0)
+
+    def closed_form(self, q0, p0):
+        return q0 * p0, 0.5 * p0**2 + self.POT.value(q0)
+
+    def test_escaping_orbit_is_the_closed_form(self):
+        # the suites' n = -2 fixture orbit
+        q0, p0 = 1.0, 1.2
+        traj = integrate(ExtendedPoint(q0, p0, 0.3, -0.2), self.POT, 40.0)
+        t, q, p = traj.times, traj.states[:, 0], traj.states[:, 1]
+        qp0, e = self.closed_form(q0, p0)
+        q2 = q0**2 + 2.0 * qp0 * t + 2.0 * e * t**2
+        assert np.max(np.abs(q**2 - q2) / q2) < 1e-14
+        assert np.max(np.abs(q * p - (qp0 + 2.0 * e * t))) < 1e-13
+
+    # the falling orbits reach RMIN at about 0.4545454545450 and 10
+    @pytest.mark.parametrize("q0,p0", [(1.0, -1.2), (2.0, 0.3)])
+    def test_falling_orbit_aborts_at_the_closed_form_time(self, q0, p0):
+        qp0, e = self.closed_form(q0, p0)
+        # the first root of q0^2 + 2 qp0 t + 2E t^2 = RMIN^2; E < 0 here
+        a, b, c = 2.0 * e, 2.0 * qp0, q0**2 - RMIN**2
+        fall = (-b - math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
+        with pytest.raises(SingularityAbort) as info:
+            for _ in taylor_steps(self.POT, (q0, p0), 20.0):
+                pass
+        aborted = float(re.search(r"near t=(\S+)", str(info.value)).group(1))
+        assert abs(aborted - fall) < 1e-9
+
+
 class TestTangentPairing:
     """The auxiliary pair is transported like a cotangent vector, so its
     pairing with any tangent vector of the (q, p) flow is constant."""

@@ -62,8 +62,8 @@ def run_child(run_python):
     """Run ``code`` on ``args`` in a child interpreter; its last line of
     output, read as JSON."""
 
-    def run(code, *args, cwd):
-        proc = run_python("-c", code, *args, cwd=cwd)
+    def run(code, *args, cwd, env=None):
+        proc = run_python("-c", code, *args, cwd=cwd, env=env)
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout.splitlines()[-1])
 
@@ -102,6 +102,23 @@ def test_import_and_schema_load_no_science_library(tmp_path, run_child):
     assert got["bare"] == []
     assert got["exit"] == 0
     assert got["schema"] == []
+
+
+#: Imports the command line and prints whether numpy was loaded and the
+#: OpenBLAS thread count it leaves in the environment.
+THREADS = """
+import json, os, sys
+import kvnlab.cli
+print(json.dumps({"numpy": "numpy" in sys.modules,
+                  "threads": os.environ.get("OPENBLAS_NUM_THREADS")}))
+"""
+
+
+@pytest.mark.parametrize("preset,threads", [(None, "1"), ("3", "3")], ids=["unset", "preset"])
+def test_cli_defaults_to_one_blas_thread_before_numpy_loads(tmp_path, run_child, preset, threads):
+    # OpenBLAS reads the variable once, when numpy loads it
+    got = run_child(THREADS, cwd=tmp_path, env={"OPENBLAS_NUM_THREADS": preset})
+    assert got == {"numpy": False, "threads": threads}
 
 
 @pytest.mark.parametrize("suite", SUITES)
