@@ -264,9 +264,9 @@ def sample_steps(pot: MonomialPotential, steps, T: float, dt: float):
     sign = math.copysign(1.0, T)
     step = np.searchsorted(sign * np.array(starts), sign * times, side="right") - 1
     tau = times - np.array(starts)[step]
-    # each sample's step coefficients as (order, row, sample), so that
-    # Horner's rule runs along contiguous samples, one order at a time
-    coeffs = np.take(np.array(coeffs).transpose(1, 2, 0), step, axis=-1)
+    # each sample's step coefficients, stacked up to the last sample's step
+    # only, as (order, row, sample): Horner's rule runs along the samples
+    coeffs = np.take(np.array(coeffs[: step[-1] + 1]).transpose(1, 2, 0), step, axis=-1)
     states = coeffs[-1]
     for c in coeffs[-2::-1]:
         states *= tau

@@ -10,12 +10,14 @@ A value is an int or a Fraction. The monomials alpha^j exp(k alpha) are
 linearly independent, so two normal forms are equal exactly when their
 dicts are. Every computation is in this ring; sympy only reads values in
 (the constructor and scale also take Rational or Expr, cosh and sinh
-rewritten through exp; observables C(q, p); a non-integral float as a
-coupling or exponent) and out (coefficient(), str()), and it is imported
-on those routes alone. The symbols hbar, t_sym, alpha_sym, q_c and p_c are
-module attributes built on first access, so importing this module loads
-no sympy. Floating point only proposes the eigenvalues of a finite adjoint,
-which an exact test then accepts.
+rewritten through exp; sympy observables C(q, p), over symbols named q_c
+and p_c with real=True; a non-integral float as a coupling or exponent)
+and out (coefficient(), str()), and it is imported on those routes alone.
+The symbols hbar, t_sym and alpha_sym are module attributes built on first
+access, so importing this module loads no sympy. q_c and p_c are the ring's
+commuting q and p, so writing and building an observable in them loads no
+sympy either. Floating point only proposes the eigenvalues of a finite
+adjoint, which an exact test then accepts.
 Coefficients are accumulated in one way, _cmul(x, y, out), and every
 linear combination of operators (sum, difference, negation, scaling,
 adjoint, change of basis, series) is one _sum_scaled call, which works on
@@ -63,14 +65,14 @@ from .errors import (
 if TYPE_CHECKING:
     import sympy as sp
 
-#: The sympy symbols of the boundary: the ring's hbar, t and alpha, in key
-#: order, then the commuting stand-ins for writing observables C(q, p).
-_SYMBOL_NAMES = ("hbar", "t_sym", "alpha_sym", "q_c", "p_c")
+#: The sympy symbols of the boundary: the ring's hbar, t and alpha, in key order.
+_SYMBOL_NAMES = ("hbar", "t_sym", "alpha_sym")
 
 
 @functools.cache
 def _symbols() -> tuple:
-    """The symbols named by _SYMBOL_NAMES, built once, on first use."""
+    """The symbols named by _SYMBOL_NAMES, then the q_c and p_c that sympy
+    observables C(q, p) are read over, built once, on first use."""
     import sympy as sp
 
     return (sp.Symbol("hbar", positive=True), sp.Symbol("t", real=True),
@@ -81,6 +83,8 @@ def _symbols() -> tuple:
 def __getattr__(name):
     if name in _SYMBOL_NAMES:
         return _symbols()[_SYMBOL_NAMES.index(name)]
+    if name in ("q_c", "p_c"):  # q and p commute: C(q, p) is written in the ring
+        return OperatorPoly.generator(KVN, ("q_c", "p_c").index(name))
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -304,6 +308,19 @@ class OperatorPoly:
     def __rmul__(self, other):
         return self.scale(other)
 
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            raise TypeError(f"operator power {n!r} is not a non-negative int")
+        out = OperatorPoly.scalar(self.algebra, 1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __truediv__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            raise TypeError(f"operator divisor {other!r} is not an int or a Fraction")
+        return self.scale(1 / Fraction(other))
+
     # -- involution and coefficient maps --------------------------------
 
     def dagger(self) -> "OperatorPoly":
@@ -487,6 +504,18 @@ def _qp_terms(expr) -> tuple:
     return tuple((a, b, _coeff(c)) for (a, b), c in poly.terms())
 
 
+def _observable_terms(expr) -> tuple:
+    """The terms (a, b, coeff dict) of C(q, p), given as such a tuple, as a
+    position-algebra operator in q and p alone or as a sympy expression."""
+    if isinstance(expr, tuple):
+        return expr
+    if not isinstance(expr, OperatorPoly):
+        return _qp_terms(expr)
+    if expr.algebra is not KVN or any(c or d for _, _, c, d in expr.terms):
+        raise NonPolynomialPotential(f"not polynomial in (q, p) alone: {expr}")
+    return tuple((a, b, c) for (a, b, _, _), c in expr.terms.items())
+
+
 def _require_monomial_exponent(pot: MonomialPotential) -> int:
     if not _is_positive_integer(pot.n):
         raise NonPolynomialPotential(f"operator constructions need integer n >= 1, got {pot.n}")
@@ -533,7 +562,7 @@ def c_hbar_series(expr, jmax: int) -> OperatorPoly:
     The k-th summand pairs each lq with a d_p and each lp with a -d_q.
     The derivatives are taken on the exponents of the terms of C, which
     may also be given as a tuple (a, b, coeff dict), as by _hamiltonian."""
-    terms = expr if isinstance(expr, tuple) else _qp_terms(expr)
+    terms = _observable_terms(expr)
     pairs = []
     for j in range(jmax + 1):
         order = 2 * j + 1
@@ -567,7 +596,7 @@ def build_C_hbar(expr) -> OperatorPoly:
     observable, with symmetric-ordered substitution; equals its own
     odd-derivative series and reduces to the classical vector field of C
     as hbar -> 0. expr may also be a tuple of terms, as for c_hbar_series."""
-    terms = expr if isinstance(expr, tuple) else _qp_terms(expr)
+    terms = _observable_terms(expr)
     pairs = []
     for a, b, c in terms:
         for j in range(min(a, b) + 1):

@@ -135,6 +135,20 @@ def test_every_kept_step_equals_the_per_order_oracle(n, y0):
         assert np.array_equal(c, reference_coefficients(pot, y, order, mass))
 
 
+def test_a_short_horizon_on_a_long_orbit_equals_the_full_stack_oracle():
+    # the sampler stacks only the steps up to its last sample; the oracle
+    # stacks all of them
+    g, ic = FIXTURES[4.0]
+    pot = MonomialPotential(g, 4.0)
+    period = characteristic_time(pot, ExtendedPoint(*ic))
+    steps = list(taylor_steps(pot, ic, 20 * period))
+    T = 1.3 * period
+    assert T < steps[len(steps) // 10][0]  # the horizon reads a short prefix
+    times, states = sample_steps(pot, steps, T, T / 2000)
+    want_times, want = reference_samples(steps, T, T / 2000)
+    assert np.array_equal(times, want_times) and np.array_equal(states, want)
+
+
 @pytest.mark.parametrize("n", [4.0, -2.0, 1.0])
 def test_samples_equal_the_per_sample_horner_oracle(n):
     g, ic = FIXTURES[n]

@@ -8,11 +8,15 @@ timed ``run_checks`` call.
 
 import importlib
 import json
+from pathlib import Path
 
 import pytest
 
 import kvnlab
 from kvnlab.scenario import SUITES
+
+#: The benchmark's workload definitions, which seed its observables.
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 #: Runs kvnlab with ``cli.run_checks`` wrapped and prints, as JSON, the exit
 #: code, the modules first imported inside the run and whether scipy, sympy
@@ -217,3 +221,32 @@ def test_opalg_loads_sympy_at_its_boundary_only(tmp_path, run_child):
     assert got["fin"] == "(-hbar*exp(-alpha)/2)*lp + exp(alpha)*q"
     assert got["fin_lp"] == "-hbar*exp(-alpha)/2"
     assert got["scaled"] == "alpha/2*lq + 3*t/hbar*q"
+
+
+#: Writes the benchmark's 40 seeded observables in q_c and p_c, checks each
+#: as its operator batch does, and prints whether sympy was loaded before and
+#: after a result is printed.
+OBSERVABLES = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import workloads
+from kvnlab import opalg
+from kvnlab.opalg import p_c, q_c
+
+checked = []
+for terms in workloads.observables(7):
+    expr = sum(c * q_c**a * p_c**b for c, a, b in terms)
+    built = opalg.build_C_hbar(expr)
+    series = opalg.c_hbar_series(expr, workloads.series_order(terms))
+    checked.append(built.equals(series) and opalg.leak_detect(built).leaks)
+built_sympy = "sympy" in sys.modules
+text = str(built)
+print(json.dumps({"count": len(checked), "checked": all(checked),
+                  "built": built_sympy, "printed": "sympy" in sys.modules}))
+"""
+
+
+def test_writing_and_building_observables_loads_no_sympy(tmp_path, run_child):
+    # q_c and p_c are the ring's q and p, so only printing crosses the boundary
+    got = run_child(OBSERVABLES, str(BENCH), cwd=tmp_path)
+    assert got == {"count": 40, "checked": True, "built": False, "printed": True}

@@ -51,6 +51,14 @@ from kvnlab.opalg import (
 REPO = Path(__file__).resolve().parents[1]
 
 
+def _bench_workloads():
+    """bench/workloads.py, which seeds the benchmark's polynomial observables."""
+    spec = importlib.util.spec_from_file_location("workloads", REPO / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 def _rand_poly(rng, algebra, max_deg=2, terms=3):
     out = OperatorPoly(algebra)
     for _ in range(terms):
@@ -161,10 +169,7 @@ class TestCoefficientBoundary:
         # the seeded observables of bench/'s operator batch, at seed 602:
         # 448 of the 672 coefficient values of these results were once
         # Fraction(k, 1), which costs more in every later product than an int
-        spec = importlib.util.spec_from_file_location("workloads",
-                                                      REPO / "bench" / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
+        workloads = _bench_workloads()
         results = []
         for terms in workloads.observables(602):
             expr = sum(c * q_c**a * p_c**b for c, a, b in terms)
@@ -309,11 +314,9 @@ class TestGeneratorConstruction:
                 * p_c ** int(rng.integers(0, 3))
                 for _ in range(3)
             )
-            expr = sp.expand(expr)
-            if expr == 0:
+            if expr.is_zero():
                 continue
-            deg = sp.total_degree(expr, q_c, p_c)
-            jmax = max(0, (deg - 1) // 2)
+            jmax = max(0, (expr.total_degree() - 1) // 2)
             assert build_C_hbar(expr).equals(c_hbar_series(expr, jmax))
 
     def test_chbar_equals_own_series_quartic_q(self):
@@ -321,15 +324,14 @@ class TestGeneratorConstruction:
 
         rng = np.random.default_rng(7)
         for _ in range(30):
-            expr = sp.expand(sum(
+            expr = sum(
                 int(rng.integers(-3, 4)) * q_c ** int(rng.integers(0, 5))
                 * p_c ** int(rng.integers(0, 3))
                 for _ in range(3)
-            ))
-            if expr == 0:
+            )
+            if expr.is_zero():
                 continue
-            deg = sp.total_degree(expr, q_c, p_c)
-            jmax = max(0, (deg - 1) // 2)
+            jmax = max(0, (expr.total_degree() - 1) // 2)
             assert build_C_hbar(expr).equals(c_hbar_series(expr, jmax))
 
     def test_hbar_limit_is_classical_field(self):
@@ -342,8 +344,7 @@ class TestGeneratorConstruction:
                 * p_c ** int(rng.integers(0, 3))
                 for _ in range(3)
             )
-            expr = sp.expand(expr)
-            if expr == 0:
+            if expr.is_zero():
                 continue
             lhs = build_C_hbar(expr).hbar_limit()
             assert lhs.equals(classical_vector_field(expr))
@@ -363,6 +364,8 @@ class TestMemoisedImages:
 
     def test_same_monomials_need_no_operator_product(self, monkeypatch):
         build_C_hbar(3 * q_c**3 * p_c**2 - 2 * q_c * p_c + 5 * p_c**3)
+        # writing C multiplies operators, so it is written before the count
+        expr = -7 * q_c**3 * p_c**2 + 4 * q_c * p_c - p_c**3 / 3
         calls = []
         mul = OperatorPoly.__mul__
 
@@ -371,10 +374,10 @@ class TestMemoisedImages:
             return mul(self, other)
 
         monkeypatch.setattr(OperatorPoly, "__mul__", counting)
-        got = build_C_hbar(-7 * q_c**3 * p_c**2 + 4 * q_c * p_c - p_c**3 / 3)
+        got = build_C_hbar(expr)
         assert calls == []
         monkeypatch.undo()
-        assert got.equals(c_hbar_series(-7 * q_c**3 * p_c**2 + 4 * q_c * p_c - p_c**3 / 3, 2))
+        assert got.equals(c_hbar_series(expr, 2))
 
     def test_returned_operators_do_not_alias_the_caches(self):
         expr = 2 * q_c**2 * p_c - 3 * p_c**2 + q_c**4 / 4
@@ -409,11 +412,62 @@ class TestMemoisedImages:
                 assert back(there(m)) == m
 
     def test_every_call_on_a_bad_observable_raises(self):
+        q, p = sp.symbols("q_c p_c", real=True)
         for _ in range(2):
             with pytest.raises(NonPolynomialPotential):
-                build_C_hbar(1 / q_c)
+                build_C_hbar(1 / q)
             with pytest.raises(NonPolynomialPotential):
-                c_hbar_series(sp.sin(p_c), 1)
+                c_hbar_series(sp.sin(p), 1)
+        # the ring holds no such observable, so writing one fails at once
+        for write in (lambda: q_c ** -1, lambda: q_c ** 0.5, lambda: 1 / q_c):
+            with pytest.raises(TypeError):
+                write()
+
+
+class TestObservablesInTheRing:
+    """q_c and p_c are the ring's commuting q and p; a sympy observable over
+    symbols named q_c and p_c is still read at the boundary. Both routes
+    give one result."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_native_and_sympy_observables_agree(self, seed):
+        q, p = sp.symbols("q_c p_c", real=True)
+        workloads = _bench_workloads()
+        for terms in workloads.observables(seed):
+            native = sum(c * q_c**a * p_c**b for c, a, b in terms)
+            symbolic = sum(c * q**a * p**b for c, a, b in terms)
+            x, y = build_C_hbar(native), build_C_hbar(symbolic)
+            assert x.terms == y.terms
+            assert str(x) == str(y)
+            jmax = workloads.series_order(terms)
+            assert c_hbar_series(native, jmax).terms == c_hbar_series(symbolic, jmax).terms
+
+    def test_ring_coefficients_multiply_from_either_side(self):
+        q = sp.Symbol("q_c", real=True)
+        expected = OperatorPoly(KVN, {(1, 0, 0, 0): hbar})
+        assert (hbar * q_c).equals(expected)
+        assert (q_c * hbar).equals(expected)
+        assert build_C_hbar(hbar * q_c).terms == build_C_hbar(hbar * q).terms
+
+    def test_division_keeps_whole_values_ints(self):
+        third = p_c**3 / 3
+        assert third.terms == {(0, 3, 0, 0): {(0, 0, 0, 0, 0): Fraction(1, 3)}}
+        whole = (6 * p_c**3) / Fraction(3)
+        assert whole.terms == {(0, 3, 0, 0): {(0, 0, 0, 0, 0): 2}}
+        assert type(whole.terms[0, 3, 0, 0][0, 0, 0, 0, 0]) is int
+        assert build_C_hbar(third).terms == build_C_hbar(sp.Symbol("p_c", real=True)**3 / 3).terms
+
+    def test_float_coefficient_is_refused_when_c_is_written(self):
+        with pytest.raises(TypeError, match="floating-point"):
+            0.5 * q_c  # noqa: B018
+
+    @pytest.mark.parametrize("x", [lq_op(), lp_op() * q_op(), OperatorPoly.generator(BOPP, 0)],
+                             ids=["lq", "q-lp", "bopp"])
+    def test_operand_outside_the_q_p_ring_raises(self, x):
+        with pytest.raises(NonPolynomialPotential):
+            build_C_hbar(x)
+        with pytest.raises(NonPolynomialPotential):
+            c_hbar_series(x, 1)
 
 
 class TestSimilarityGenerator:
